@@ -17,14 +17,10 @@
 //     speedup column is only meaningful up to the printed hardware
 //     concurrency.
 
-#include <execinfo.h>
-
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <map>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -34,79 +30,12 @@
 #include "csecg/core/encoder.hpp"
 #include "csecg/core/stream_profile.hpp"
 #include "csecg/linalg/backend.hpp"
+#include "csecg/util/alloc_probe.hpp"
 #include "csecg/util/table.hpp"
 #include "csecg/wbsn/fleet.hpp"
 
-namespace {
-
-std::atomic<bool> g_count_allocations{false};
-std::atomic<std::size_t> g_allocations{0};
-
-// Set CSECG_ALLOC_TRAP=1 to abort on the first counted allocation: a
-// backtrace then names the offender directly.
-bool trap_on_allocation() {
-  static const bool trap = [] {
-    const char* value = std::getenv("CSECG_ALLOC_TRAP");
-    return value != nullptr && value[0] == '1';
-  }();
-  return trap;
-}
-
-void note_allocation() {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (trap_on_allocation()) {
-      void* frames[32];
-      const int depth = backtrace(frames, 32);
-      backtrace_symbols_fd(frames, depth, 2);
-      std::abort();
-    }
-  }
-}
-
-}  // namespace
-
-// Counting hooks for every replaceable allocation path the toolchain may
-// route through. Deallocation stays free-running: only allocations after
-// warm-up matter for the steady-state claim.
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  note_allocation();
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) -
-                                    1) &
-                                       ~(static_cast<std::size_t>(align) -
-                                         1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+using csecg::util::g_allocations;
+using csecg::util::g_count_allocations;
 
 int main(int argc, char** argv) {
   using namespace csecg;
@@ -184,7 +113,7 @@ int main(int argc, char** argv) {
   // ------------------------------------- phase 1a: batched-native allocs --
   // The same steady-state claim for the batched decode path on the
   // native wide-SIMD backend: reconstruct_batch_into sweeps 4 windows per
-  // kernel invocation through fista_batch, and after one warm-up batch
+  // kernel invocation through fista_panel, and after one warm-up batch
   // the hot path must stay allocation-free too.
   std::size_t batch_windows = 0;
   std::size_t batch_allocations = 0;
@@ -353,7 +282,7 @@ int main(int argc, char** argv) {
                       ? 0
                       : 1;
   // decode_batch 1 is the classic per-frame path; k > 1 drains whole
-  // batches through the panel fista_batch (same results bitwise, every
+  // batches through fista_panel (same results bitwise, every
   // kernel and operator traversal sweeps the batch once). The whole sweep
   // runs on the native backend so the "cost vs b1" column isolates the
   // panel amortisation: per-window wall cost at batch k over the batch-1

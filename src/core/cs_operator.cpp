@@ -85,6 +85,12 @@ void CsOperator<T>::apply_batch(std::span<const T> alpha_flat,
   CSECG_CHECK(alpha_flat.size() == batch * cols() &&
                   y_flat.size() == batch * rows(),
               "apply_batch: size mismatch");
+  if (batch == 1) {
+    // A panel of one is the single-row apply: same bits and charges,
+    // without the panel layout's overhead.
+    apply(alpha_flat, y_flat);
+    return;
+  }
   panel_scratch_.resize(batch * psi_->length());
   psi_->inverse_batch<T>(alpha_flat, std::span<T>(panel_scratch_), batch,
                          *backend_);
@@ -99,6 +105,10 @@ void CsOperator<T>::apply_adjoint_batch(std::span<const T> r_flat,
   CSECG_CHECK(r_flat.size() == batch * rows() &&
                   alpha_flat.size() == batch * cols(),
               "apply_adjoint_batch: size mismatch");
+  if (batch == 1) {
+    apply_adjoint(r_flat, alpha_flat);
+    return;
+  }
   panel_scratch_.resize(batch * psi_->length());
   phi_->apply_transpose_batch(r_flat, std::span<T>(panel_scratch_), batch);
   charge_sparse_apply<T>(*backend_, *phi_, batch);

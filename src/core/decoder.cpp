@@ -521,80 +521,8 @@ template <typename T>
 void Decoder::reconstruct_into(std::span<const std::int32_t> y_int,
                                solvers::SolverWorkspace& workspace,
                                DecodedWindow<T>& out) const {
-  const std::size_t m = config_.cs.measurements;
-  const std::size_t n = config_.cs.window;
-  CSECG_CHECK(y_int.size() == m, "measurement vector length mismatch");
-
-  auto& ws = workspace.buffers<T>();
-
-  // The mote already applied the 1/sqrt(d) scale in Q15 (its relative
-  // error vs the exact scale is ~2e-5, far below the CS recovery error),
-  // so the integers are the Phi x measurements — up to the optional
-  // measurement-quantisation shift, which is undone here.
-  const double requantize =
-      std::ldexp(1.0, static_cast<int>(config_.cs.measurement_shift));
-  std::vector<T>& y = ws.aux_m;
-  y.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    y[i] = static_cast<T>(static_cast<double>(y_int[i]) * requantize);
-  }
-
-  const CsOperator<T>& A = cs_op<T>();
-
-  // lambda scaled to the measurement magnitude: lambda_rel * ||A^T y||_inf.
-  std::vector<T>& aty = ws.aux_n;
-  aty.resize(n);
-  A.apply_adjoint(std::span<const T>(y), std::span<T>(aty));
-  const double aty_inf =
-      static_cast<double>(A.backend().norm_inf(aty.data(), aty.size()));
-
-  options_.lambda = config_.lambda_relative * aty_inf;
-
-  auto& cache = std::is_same_v<T, float> ? lipschitz_f_ : lipschitz_d_;
-  if (!cache) {
-    cache = 2.0 * linalg::estimate_spectral_norm_squared(A);
-  }
-  options_.lipschitz = cache;
-
-  // Prior-aware decode: seed from the previous window's solution when the
-  // policy is on and a valid prior survives (nothing invalidated it since
-  // the last solve of this precision).
-  std::vector<double>& prior = std::is_same_v<T, float> ? prior_f_ : prior_d_;
-  bool& have_prior = std::is_same_v<T, float> ? have_prior_f_ : have_prior_d_;
-  const bool warmable =
-      config_.prior.warm_start && have_prior && prior.size() == n;
-  options_.warm_start =
-      warmable ? std::span<const double>(prior) : std::span<const double>{};
-
-  solvers::ShrinkageResult<T>* solve = nullptr;
-  {
-    obs::SpanScope fista_span("fista");
-    solve = &solvers::fista<T>(A, std::span<const T>(y), options_, workspace);
-    fista_span.attribute("iterations",
-                         static_cast<double>(solve->iterations));
-    fista_span.attribute("converged", solve->converged ? 1.0 : 0.0);
-    fista_span.attribute("warm", warmable ? 1.0 : 0.0);
-    fista_span.attribute("measurements", static_cast<double>(m));
-  }
-  // Never leave a span into prior_ cached in options_ (apply_profile
-  // reallocates the vector); the next solve re-wires it.
-  options_.warm_start = {};
-  if (config_.prior.warm_start) {
-    prior.assign(solve->solution.begin(), solve->solution.end());
-    have_prior = true;
-  }
-
-  out.iterations = solve->iterations;
-  out.converged = solve->converged;
-  out.residual_norm = solve->final_residual_norm;
-  out.objective_trace.assign(solve->objective_trace.begin(),
-                             solve->objective_trace.end());
-  out.samples.resize(n);
-  {
-    obs::SpanScope idwt_span("idwt");
-    transform_.inverse<T>(std::span<const T>(solve->solution),
-                          std::span<T>(out.samples), A.backend());
-  }
+  reconstruct_rows<T>(y_int, 1, /*group=*/false, workspace,
+                      std::span<DecodedWindow<T>>(&out, 1));
 }
 
 template <typename T>
@@ -602,226 +530,171 @@ void Decoder::reconstruct_batch_into(std::span<const std::int32_t> y_int_flat,
                                      std::size_t batch,
                                      solvers::SolverWorkspace& workspace,
                                      std::span<DecodedWindow<T>> out) const {
-  const std::size_t m = config_.cs.measurements;
-  const std::size_t n = config_.cs.window;
-  CSECG_CHECK(y_int_flat.size() == batch * m,
-              "batched measurement length mismatch");
-  CSECG_CHECK(out.size() == batch, "batched output span length mismatch");
-  if (batch == 0) {
-    return;
-  }
-  // The batch solver covers the uniform-penalty fleet configuration; the
-  // weighted-lambda and objective-recording variants (and trivial batches)
-  // take the sequential path, which supports everything. That residual
-  // fallback is counted so a fleet misconfigured off the panel path is
-  // visible in telemetry instead of silently decoding row by row.
-  if (batch == 1 || !options_.weights.empty() || config_.record_objective) {
-    if (batch > 1) {
-      obs::add("decoder.batch.fallback_sequential");
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
-      reconstruct_into<T>(y_int_flat.subspan(b * m, m), workspace, out[b]);
-    }
-    return;
-  }
-
-  auto& ws = workspace.buffers<T>();
-  const CsOperator<T>& A = cs_op<T>();
-  const linalg::Backend& be = A.backend();
-
-  const double requantize =
-      std::ldexp(1.0, static_cast<int>(config_.cs.measurement_shift));
-  std::vector<T>& y = ws.batch_y;
-  y.resize(batch * m);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y[i] = static_cast<T>(static_cast<double>(y_int_flat[i]) * requantize);
-  }
-
-  // Per-window lambda: lambda_rel * ||A^T y_b||_inf, same rule as the
-  // sequential path (aux_n is reused row by row as adjoint scratch).
-  std::vector<T>& aty = ws.aux_n;
-  aty.resize(n);
-  ws.batch_lambdas.resize(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    A.apply_adjoint(std::span<const T>(y.data() + b * m, m),
-                    std::span<T>(aty));
-    ws.batch_lambdas[b] =
-        config_.lambda_relative *
-        static_cast<double>(be.norm_inf(aty.data(), aty.size()));
-  }
-
-  auto& cache = std::is_same_v<T, float> ? lipschitz_f_ : lipschitz_d_;
-  if (!cache) {
-    cache = 2.0 * linalg::estimate_spectral_norm_squared(A);
-  }
-  options_.lipschitz = cache;
-
-  // Warm starts ride the panel path: every row seeds from the prior
-  // cached before the batch (the last pre-batch solution). Consecutive
-  // ECG windows are quasi-periodic, so one shared neighbour is a useful
-  // seed for the whole panel — deliberately different from the sequential
-  // chain, where window b's prior is window b-1's fresh solution; the
-  // fixed point is unchanged either way (warm starts trade iterations,
-  // never the solution).
-  std::vector<double>& prior = std::is_same_v<T, float> ? prior_f_ : prior_d_;
-  bool& have_prior = std::is_same_v<T, float> ? have_prior_f_ : have_prior_d_;
-  const bool warmable =
-      config_.prior.warm_start && have_prior && prior.size() == n;
-  if (warmable) {
-    ws.batch_warm.resize(batch * n);
-    for (std::size_t b = 0; b < batch; ++b) {
-      std::copy(prior.begin(), prior.end(), ws.batch_warm.begin() +
-                                                static_cast<std::ptrdiff_t>(
-                                                    b * n));
-    }
-    options_.warm_start = std::span<const double>(ws.batch_warm);
-  } else {
-    options_.warm_start = {};
-  }
-
-  std::span<solvers::ShrinkageResult<T>> solves;
-  {
-    obs::SpanScope fista_span("fista");
-    fista_span.attribute("batch", static_cast<double>(batch));
-    fista_span.attribute("measurements", static_cast<double>(m));
-    fista_span.attribute("warm", warmable ? 1.0 : 0.0);
-    solves = solvers::fista_batch<T>(
-        A, std::span<const T>(y),
-        std::span<const double>(ws.batch_lambdas), options_, workspace);
-  }
-  // Never leave a span into batch_warm cached in options_; the prior for
-  // the next call is the batch's last window, exactly as if it had been
-  // decoded last sequentially.
-  options_.warm_start = {};
-  if (config_.prior.warm_start) {
-    const auto& last = solves[batch - 1].solution;
-    prior.assign(last.begin(), last.end());
-    have_prior = true;
-  }
-
-  obs::SpanScope idwt_span("idwt");
-  for (std::size_t b = 0; b < batch; ++b) {
-    const solvers::ShrinkageResult<T>& solve = solves[b];
-    out[b].iterations = solve.iterations;
-    out[b].converged = solve.converged;
-    out[b].residual_norm = solve.final_residual_norm;
-    out[b].objective_trace.clear();
-    out[b].samples.resize(n);
-    transform_.inverse<T>(std::span<const T>(solve.solution),
-                          std::span<T>(out[b].samples), be);
-  }
+  reconstruct_rows<T>(y_int_flat, batch, /*group=*/false, workspace, out);
 }
 
 template <typename T>
 void Decoder::reconstruct_group_into(std::span<const std::int32_t> y_int_flat,
                                      solvers::SolverWorkspace& workspace,
                                      std::span<DecodedWindow<T>> out) const {
-  const std::size_t leads = config_.cs.leads;
+  reconstruct_rows<T>(y_int_flat, config_.cs.leads, /*group=*/true, workspace,
+                      out);
+}
+
+template <typename T>
+void Decoder::reconstruct_rows(std::span<const std::int32_t> y_int_flat,
+                               std::size_t rows, bool group,
+                               solvers::SolverWorkspace& workspace,
+                               std::span<DecodedWindow<T>> out) const {
   const std::size_t m = config_.cs.measurements;
   const std::size_t n = config_.cs.window;
-  CSECG_CHECK(y_int_flat.size() == leads * m,
-              "group measurement length mismatch");
-  CSECG_CHECK(out.size() == leads, "group output span length mismatch");
-  if (leads == 1) {
-    // The production single-lead path, bitwise.
-    reconstruct_into<T>(y_int_flat, workspace, out[0]);
+  CSECG_CHECK(y_int_flat.size() == rows * m,
+              "measurement vector length mismatch");
+  CSECG_CHECK(out.size() == rows, "output span length mismatch");
+  if (rows == 0) {
     return;
   }
-  if (!options_.weights.empty() || config_.record_objective) {
-    // fista_group covers the uniform-penalty configuration; anything else
-    // decodes the leads independently (no support coupling), counted so
-    // a group stream misconfigured off the joint path shows in telemetry.
-    obs::add("decoder.group.fallback_sequential");
-    for (std::size_t l = 0; l < leads; ++l) {
-      reconstruct_into<T>(y_int_flat.subspan(l * m, m), workspace, out[l]);
-    }
-    return;
-  }
+  // A lead group solves jointly (one l2,1 problem coupling its leads)
+  // under the uniform penalty; the group penalty is undefined for
+  // per-coefficient weights, and objective traces are per row, so those
+  // configurations solve the leads as uncoupled rows.
+  const std::size_t leads =
+      group && options_.weights.empty() && !config_.record_objective ? rows
+                                                                     : 1;
+  const std::size_t problems = rows / leads;
 
   auto& ws = workspace.buffers<T>();
   const CsOperator<T>& A = cs_op<T>();
   const linalg::Backend& be = A.backend();
+
+  // The mote already applied the 1/sqrt(d) scale in Q15 (its relative
+  // error vs the exact scale is ~2e-5, far below the CS recovery error),
+  // so the integers are the Phi x measurements — up to the optional
+  // measurement-quantisation shift, which is undone here.
   const double requantize =
       std::ldexp(1.0, static_cast<int>(config_.cs.measurement_shift));
-  std::vector<T>& y = ws.batch_y;
-  y.resize(leads * m);
+  std::vector<T>& y = ws.aux_y;
+  y.resize(rows * m);
   for (std::size_t i = 0; i < y.size(); ++i) {
     y[i] = static_cast<T>(static_cast<double>(y_int_flat[i]) * requantize);
   }
 
-  // One group lambda: the l2,1 penalty's dual norm is the max over
-  // coefficients of the ACROSS-lead l2 norm, so the lambda-max analog of
-  // the sequential scale rule is max_i ||(A^T y)_{i,:}||_2 — the loudest
-  // coefficient *group*, not the loudest lead. At leads == 1 this is
-  // exactly ||A^T y||_inf, the sequential rule; for correlated leads it
-  // grows toward sqrt(L) times it, which is what keeps the effective
-  // per-lead penalty (and hence the iteration count) on the sequential
-  // operating point instead of under-regularising the group.
+  // lambda scaled to the measurement magnitude: lambda_rel times the
+  // penalty's dual norm of A^T y. For one row that is ||A^T y||_inf. The
+  // l2,1 penalty's dual norm is the max over coefficients of the
+  // ACROSS-lead l2 norm, max_i ||(A^T y)_{i,:}||_2 — the loudest
+  // coefficient *group*, not the loudest lead. For correlated leads it
+  // grows toward sqrt(L) times the single-row rule, which keeps the
+  // effective per-lead penalty (and hence the iteration count) on the
+  // single-lead operating point instead of under-regularising the group.
   std::vector<T>& aty = ws.aux_n;
-  std::vector<T>& group_sq = ws.batch_gradient;  // fista_group re-inits it
+  std::vector<T>& group_sq = ws.gradient;  // fista_panel re-inits it
   aty.resize(n);
-  group_sq.assign(n, T{});
-  for (std::size_t l = 0; l < leads; ++l) {
-    A.apply_adjoint(std::span<const T>(y.data() + l * m, m),
-                    std::span<T>(aty));
-    for (std::size_t i = 0; i < n; ++i) {
-      group_sq[i] += aty[i] * aty[i];
+  ws.aux_lambdas.resize(problems);
+  for (std::size_t p = 0; p < problems; ++p) {
+    if (leads == 1) {
+      A.apply_adjoint(std::span<const T>(y.data() + p * m, m),
+                      std::span<T>(aty));
+      ws.aux_lambdas[p] =
+          config_.lambda_relative *
+          static_cast<double>(be.norm_inf(aty.data(), aty.size()));
+      continue;
     }
+    group_sq.assign(n, T{});
+    for (std::size_t l = 0; l < leads; ++l) {
+      A.apply_adjoint(std::span<const T>(y.data() + (p * leads + l) * m, m),
+                      std::span<T>(aty));
+      for (std::size_t i = 0; i < n; ++i) {
+        group_sq[i] += aty[i] * aty[i];
+      }
+    }
+    double group_max_sq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      group_max_sq = std::max(group_max_sq, static_cast<double>(group_sq[i]));
+    }
+    ws.aux_lambdas[p] = config_.lambda_relative * std::sqrt(group_max_sq);
   }
-  double group_max_sq = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    group_max_sq = std::max(group_max_sq, static_cast<double>(group_sq[i]));
-  }
-  options_.lambda = config_.lambda_relative * std::sqrt(group_max_sq);
 
-  // The group objective is separable over leads, so the gradient's
-  // Lipschitz constant is the per-lead 2 ||A||^2 — same cache as the
-  // sequential path.
+  // The objective is separable over rows, so the gradient's Lipschitz
+  // constant is the per-row 2 ||A||^2 whatever the panel shape.
   auto& cache = std::is_same_v<T, float> ? lipschitz_f_ : lipschitz_d_;
   if (!cache) {
     cache = 2.0 * linalg::estimate_spectral_norm_squared(A);
   }
   options_.lipschitz = cache;
 
-  // The group warm prior seeds all leads at once and was stored as one
-  // leads * n block; a prior of any other shape (e.g. from a single-lead
-  // phase before a re-profile) is not warmable.
+  // Prior-aware decode: seed from the previous solution when the policy
+  // is on and a valid prior survives (nothing invalidated it since the
+  // last solve of this precision). A group's prior holds one row per
+  // lead, and each lead seeds from its own row. A batch of single-lead
+  // windows seeds every row from the one prior cached before the batch:
+  // consecutive ECG windows are quasi-periodic, so the shared neighbour
+  // is a useful seed for all of them — deliberately different from
+  // sequential chaining, where window b seeds from window b-1's fresh
+  // solution; the fixed point is unchanged either way (warm starts trade
+  // iterations, never the solution).
+  const std::size_t prior_rows = group ? rows : 1;
   std::vector<double>& prior = std::is_same_v<T, float> ? prior_f_ : prior_d_;
   bool& have_prior = std::is_same_v<T, float> ? have_prior_f_ : have_prior_d_;
-  const bool warmable =
-      config_.prior.warm_start && have_prior && prior.size() == leads * n;
-  options_.warm_start =
-      warmable ? std::span<const double>(prior) : std::span<const double>{};
+  const bool warmable = config_.prior.warm_start && have_prior &&
+                        prior.size() == prior_rows * n;
+  if (warmable && rows > prior_rows) {
+    ws.aux_warm.resize(rows * n);
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy(prior.begin(), prior.end(),
+                ws.aux_warm.begin() + static_cast<std::ptrdiff_t>(r * n));
+    }
+    options_.warm_start = std::span<const double>(ws.aux_warm);
+  } else {
+    options_.warm_start =
+        warmable ? std::span<const double>(prior) : std::span<const double>{};
+  }
 
   std::span<solvers::ShrinkageResult<T>> solves;
   {
     obs::SpanScope fista_span("fista");
-    fista_span.attribute("leads", static_cast<double>(leads));
+    if (rows > 1) {
+      fista_span.attribute(group ? "leads" : "batch",
+                           static_cast<double>(rows));
+    }
     fista_span.attribute("measurements", static_cast<double>(m));
     fista_span.attribute("warm", warmable ? 1.0 : 0.0);
-    solves = solvers::fista_group<T>(A, std::span<const T>(y), leads,
-                                     options_, workspace);
+    solves = solvers::fista_panel<T>(
+        A, std::span<const T>(y), std::span<const double>(ws.aux_lambdas),
+        leads, options_, workspace);
+    if (rows == 1) {
+      fista_span.attribute("iterations",
+                           static_cast<double>(solves[0].iterations));
+      fista_span.attribute("converged", solves[0].converged ? 1.0 : 0.0);
+    }
   }
+  // Never leave a span into a prior or seed buffer cached in options_
+  // (apply_profile reallocates the prior); the next solve re-wires it.
   options_.warm_start = {};
   if (config_.prior.warm_start) {
-    prior.resize(leads * n);
-    for (std::size_t l = 0; l < leads; ++l) {
-      std::copy(solves[l].solution.begin(), solves[l].solution.end(),
-                prior.begin() + static_cast<std::ptrdiff_t>(l * n));
+    // The next prior is the panel's last prior_rows rows: a batch's last
+    // window, exactly as if it had been decoded last sequentially, or
+    // every lead of a group.
+    prior.resize(prior_rows * n);
+    for (std::size_t r = 0; r < prior_rows; ++r) {
+      const auto& solution = solves[rows - prior_rows + r].solution;
+      std::copy(solution.begin(), solution.end(),
+                prior.begin() + static_cast<std::ptrdiff_t>(r * n));
     }
     have_prior = true;
   }
 
   obs::SpanScope idwt_span("idwt");
-  for (std::size_t l = 0; l < leads; ++l) {
-    const solvers::ShrinkageResult<T>& solve = solves[l];
-    out[l].iterations = solve.iterations;
-    out[l].converged = solve.converged;
-    out[l].residual_norm = solve.final_residual_norm;
-    out[l].objective_trace.clear();
-    out[l].samples.resize(n);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const solvers::ShrinkageResult<T>& solve = solves[r];
+    out[r].iterations = solve.iterations;
+    out[r].converged = solve.converged;
+    out[r].residual_norm = solve.final_residual_norm;
+    out[r].objective_trace.assign(solve.objective_trace.begin(),
+                                  solve.objective_trace.end());
+    out[r].samples.resize(n);
     transform_.inverse<T>(std::span<const T>(solve.solution),
-                          std::span<T>(out[l].samples), be);
+                          std::span<T>(out[r].samples), be);
   }
 }
 

@@ -231,18 +231,16 @@ class Decoder {
   /// Batched reconstruction: \p y_int_flat packs \p batch integer
   /// measurement rows back to back (batch * measurements elements) that
   /// were produced under the same profile, and out[b] receives window b.
-  /// Windows run as a panel through fista_batch, so each kernel and
-  /// operator traversal sweeps the whole batch — with warm starts off,
-  /// each window's result is bitwise identical to a reconstruct_into
-  /// call. With warm starts on, every row of the panel seeds from the
-  /// prior cached before the batch (consecutive windows are
-  /// quasi-periodic, so the shared neighbour is a useful seed for all of
-  /// them) and the batch's last solution becomes the next prior; the
-  /// iteration counts differ from sequential chaining but the fixed
-  /// points do not. Falls back to the sequential loop for batch <= 1 and
-  /// for configurations the batch solver excludes (per-coefficient
-  /// weights, objective recording) — the non-trivial fallback is counted
-  /// as "decoder.batch.fallback_sequential". Allocation-free in steady
+  /// Windows run as one panel through solvers::fista_panel, so each
+  /// kernel and operator traversal sweeps the whole batch; each window's
+  /// solve is bitwise the one reconstruct_into would run from the same
+  /// seed. With warm starts off that makes every window bitwise
+  /// identical to a reconstruct_into call. With warm starts on, every row
+  /// of the panel seeds from the prior cached before the batch
+  /// (consecutive windows are quasi-periodic, so the shared neighbour is
+  /// a useful seed for all of them) and the batch's last solution
+  /// becomes the next prior; the iteration counts differ from sequential
+  /// chaining but the fixed points do not. Allocation-free in steady
   /// state for a fixed batch shape.
   template <typename T>
   void reconstruct_batch_into(std::span<const std::int32_t> y_int_flat,
@@ -253,18 +251,19 @@ class Decoder {
   /// Joint lead-group reconstruction: \p y_int_flat packs the group's
   /// leads measurement rows lead-major (leads * measurements elements,
   /// as decode_group_measurements_into produces) and out[l] receives
-  /// lead l. The group solves as one l2,1 problem through fista_group —
-  /// one operator traversal per iteration regardless of L, with the
-  /// group shrink coupling the leads' wavelet supports. lambda is
-  /// lambda_relative * max_l ||A^T y_l||_inf (the scale rule of the
-  /// sequential path applied to the loudest lead). leads == 1 delegates
-  /// to reconstruct_into — the production single-lead path, bitwise.
-  /// The warm prior is group-wide (leads * window doubles): it seeds the
-  /// whole group and dies whole on every invalidation — any lead's
-  /// re-sync is the group's re-sync. Configurations fista_group excludes
-  /// (per-coefficient weights, objective recording) fall back to
-  /// independent per-lead solves, counted as
-  /// "decoder.group.fallback_sequential".
+  /// lead l. Under the uniform penalty the group solves as one l2,1
+  /// problem through solvers::fista_panel — one operator traversal per
+  /// iteration regardless of L, with the group shrink coupling the
+  /// leads' wavelet supports. lambda is lambda_relative times the
+  /// penalty's dual norm, max_i ||(A^T y)_{i,:}||_2 over the
+  /// coefficients' across-lead l2 norms. Weighted-l1 or
+  /// objective-recording configurations solve the leads as uncoupled
+  /// rows of the same panel, each with the single-lead lambda rule (the
+  /// group penalty is defined for the uniform weight only). leads == 1
+  /// is the production single-lead path, bitwise. The warm prior is
+  /// group-wide (leads * window doubles): each lead seeds from its own
+  /// row of it, and it dies whole on every invalidation — any lead's
+  /// re-sync is the group's re-sync.
   template <typename T>
   void reconstruct_group_into(std::span<const std::int32_t> y_int_flat,
                               solvers::SolverWorkspace& workspace,
@@ -298,6 +297,17 @@ class Decoder {
  private:
   template <typename T>
   const CsOperator<T>& cs_op() const;
+
+  /// The one reconstruct path behind reconstruct_into (1 row),
+  /// reconstruct_batch_into (batch rows) and reconstruct_group_into
+  /// (\p group: one row per lead): scales the rows, derives each
+  /// problem's lambda, seeds from and refreshes the warm prior, runs the
+  /// panel solve and synthesises the windows.
+  template <typename T>
+  void reconstruct_rows(std::span<const std::int32_t> y_int_flat,
+                        std::size_t rows, bool group,
+                        solvers::SolverWorkspace& workspace,
+                        std::span<DecodedWindow<T>> out) const;
 
   /// (Re)derives the cached solver options from config_ (weight vector
   /// included); called at construction and after apply_profile.

@@ -15,24 +15,74 @@ inline const linalg::Backend& resolve_backend(const ShrinkageOptions& options) {
                                     : linalg::default_backend();
 }
 
-/// Shared machinery for ISTA and FISTA; momentum toggles the difference.
-/// All scratch (and the result) lives in \p workspace, so repeated solves
-/// of the same problem shape are allocation-free in steady state.
-template <typename T>
-void shrinkage_solve(const linalg::LinearOperator<T>& A,
-                     std::span<const T> y,
-                     const ShrinkageOptions& options,
-                     bool momentum,
-                     SolverWorkspace& workspace) {
-  CSECG_CHECK(y.size() == A.rows(), "measurement size mismatch");
-  CSECG_CHECK(options.lambda >= 0.0, "lambda must be non-negative");
-  CSECG_CHECK(options.max_iterations > 0, "need at least one iteration");
+/// Charges one of the solver's hand-written elementwise loops (weighted
+/// prox, momentum update, iterate change), which no backend kernel
+/// prices: `ops` ALU operations, 4-wide under the simd4 schedule, plus
+/// the loop's loads and stores. No-op on plain backends.
+void charge_loop(const linalg::Backend& be, std::uint64_t ops,
+                 std::uint64_t loads, std::uint64_t stores) {
+  if (!be.counting()) {
+    return;
+  }
+  linalg::OpCounts c;
+  if (be.counted_schedule() == linalg::KernelMode::kScalar) {
+    c.scalar_op = ops;
+  } else {
+    c.vector_op4 = ops / 4;
+  }
+  c.loads = loads;
+  c.stores = stores;
+  be.charge(c);
+}
 
+/// The one shrinkage engine behind fista(), ista() and fista_panel().
+/// Solves lambdas.size() problems of `leads` contiguous rows each; every
+/// stage of the iteration runs as one panel kernel over the rows of the
+/// still-active problems, so the operator is traversed once per
+/// iteration however many problems ride along. Each problem keeps its
+/// own momentum, restart, support counter, stopping rule and objective
+/// trace, so its trajectory is bitwise the one it would take alone. A
+/// finished problem is snapshotted at its own stopping iteration and
+/// compacted out by moving the last active problem's rows into its
+/// slot: later panels shrink, so it stops being charged. Momentum off is
+/// ISTA.
+template <typename T>
+std::span<ShrinkageResult<T>> shrinkage_panel(
+    const linalg::LinearOperator<T>& A, std::span<const T> y_flat,
+    std::span<const double> lambdas, std::size_t leads,
+    const ShrinkageOptions& options, bool momentum,
+    SolverWorkspace& workspace) {
+  const std::size_t problems = lambdas.size();
   const std::size_t n = A.cols();
   const std::size_t m = A.rows();
-  const linalg::Backend& be = resolve_backend(options);
-  const linalg::KernelMode schedule = be.counted_schedule();
+  const std::size_t rows = problems * leads;
+  const std::size_t ln = leads * n;
+  CSECG_CHECK(leads > 0, "lead group must be non-empty");
+  CSECG_CHECK(y_flat.size() == rows * m, "measurement size mismatch");
+  CSECG_CHECK(options.max_iterations > 0, "need at least one iteration");
+  const bool weighted = !options.weights.empty();
+  CSECG_CHECK(leads == 1 || (!weighted && !options.sigma.has_value() &&
+                             !options.record_objective),
+              "lead groups take neither weights, sigma stopping nor "
+              "objective traces");
+  CSECG_CHECK(!weighted || options.weights.size() == n,
+              "weights must match the coefficient dimension");
+  const bool warm = !options.warm_start.empty();
+  CSECG_CHECK(!warm || options.warm_start.size() == rows * n,
+              "warm start must hold one prior per row");
 
+  auto& ws = workspace.buffers<T>();
+  // Results only ever grow, so alternating panel shapes keep their
+  // solution buffers.
+  if (ws.results.size() < rows) {
+    ws.results.resize(rows);
+  }
+  const std::span<ShrinkageResult<T>> results(ws.results.data(), rows);
+  if (problems == 0) {
+    return results;
+  }
+
+  const linalg::Backend& be = resolve_backend(options);
   // Lipschitz constant of grad f(a) = 2 A^T (A a - y): L = 2 lambda_max.
   // Note value_or would evaluate the power iteration eagerly — it must
   // only run when the caller did not supply L (it costs tens of operator
@@ -43,36 +93,41 @@ void shrinkage_solve(const linalg::LinearOperator<T>& A,
           : 2.0 * linalg::estimate_spectral_norm_squared(A);
   CSECG_CHECK(lipschitz > 0.0, "operator has zero spectral norm");
   const T step = static_cast<T>(1.0 / lipschitz);
-  const T threshold = static_cast<T>(options.lambda / lipschitz);
-  const bool weighted = !options.weights.empty();
-  CSECG_CHECK(!weighted || options.weights.size() == n,
-              "weights must match the coefficient dimension");
-  auto& ws = workspace.buffers<T>();
-  std::vector<T>& thresholds = ws.thresholds;
+
+  // Per-problem state, indexed by problem (not slot), so compaction only
+  // moves rows and the slot -> problem map.
+  ws.thresholds.resize(problems);
+  ws.tk.assign(problems, 1.0);
+  ws.support_stable.assign(problems, 0);
+  ws.perm.resize(problems);
+  for (std::size_t p = 0; p < problems; ++p) {
+    CSECG_CHECK(lambdas[p] >= 0.0, "lambda must be non-negative");
+    ws.thresholds[p] = static_cast<T>(lambdas[p] / lipschitz);
+    ws.perm[p] = p;
+  }
   if (weighted) {
-    thresholds.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      CSECG_CHECK(options.weights[i] >= 0.0,
-                  "l1 weights must be non-negative");
-      thresholds[i] = static_cast<T>(options.weights[i]) * threshold;
+    ws.weighted_thresholds.resize(problems * n);
+    for (std::size_t p = 0; p < problems; ++p) {
+      for (std::size_t i = 0; i < n; ++i) {
+        CSECG_CHECK(options.weights[i] >= 0.0,
+                    "l1 weights must be non-negative");
+        ws.weighted_thresholds[p * n + i] =
+            static_cast<T>(options.weights[i]) * ws.thresholds[p];
+      }
     }
   }
-
-  const bool warm = !options.warm_start.empty();
-  CSECG_CHECK(!warm || options.warm_start.size() == n,
-              "warm start must match the coefficient dimension");
-
-  ShrinkageResult<T>& result = ws.result;
-  result.iterations = 0;
-  result.converged = false;
-  result.final_objective = 0.0;
-  result.final_residual_norm = 0.0;
-  result.objective_trace.clear();
+  for (ShrinkageResult<T>& r : results) {
+    r.iterations = 0;
+    r.converged = false;
+    r.final_objective = 0.0;
+    r.final_residual_norm = 0.0;
+    r.objective_trace.clear();
+  }
 
   // Regulariser value g(a) = sum_i w_i |a_i| (w = 1 when unweighted).
-  const auto g_value = [&](std::span<const T> a) {
+  const auto g_value = [&](const T* a) {
     if (!weighted) {
-      return static_cast<double>(be.norm1(a.data(), a.size()));
+      return static_cast<double>(be.norm1(a, n));
     }
     double acc = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -81,212 +136,245 @@ void shrinkage_solve(const linalg::LinearOperator<T>& A,
     return acc;
   };
 
-  std::vector<T>& yk = ws.yk;              // extrapolation point y_k
-  std::vector<T>& residual = ws.residual;  // A y_k - y
-  std::vector<T>& gradient = ws.gradient;  // A^T residual (x2 in step)
-  std::vector<T>& candidate = ws.candidate;  // y_k - (1/L) grad
-  std::vector<T>& a_next = ws.a_next;      // scratch for the new iterate
+  std::vector<T>& yk = ws.yk;
+  std::vector<T>& a_k = ws.a_k;
+  std::vector<T>& a_next = ws.a_next;
+  std::vector<T>& candidate = ws.candidate;
+  std::vector<T>& gradient = ws.gradient;
+  std::vector<T>& residual = ws.residual;
+  std::vector<T>& ys = ws.ys;
   // Step 0: y_1 = a_0. Cold solves start from zero; a warm start seeds
-  // both from the caller's prior (the previous window's solution). The
-  // seeding is setup, not iteration work, so it charges nothing — same
-  // as the cold zero fill.
+  // both from the caller's per-row priors. The seeding is setup, not
+  // iteration work, so it charges nothing — same as the cold zero fill.
   if (warm) {
-    result.solution.resize(n);
-    yk.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    yk.resize(rows * n);
+    a_k.resize(rows * n);
+    for (std::size_t i = 0; i < rows * n; ++i) {
       const T v = static_cast<T>(options.warm_start[i]);
-      result.solution[i] = v;
       yk[i] = v;
+      a_k[i] = v;
     }
   } else {
-    result.solution.assign(n, T{});
-    yk.assign(n, T{});
+    yk.assign(rows * n, T{});
+    a_k.assign(rows * n, T{});
   }
-  residual.resize(m);
-  gradient.resize(n);
-  candidate.resize(n);
-  a_next.resize(n);
+  a_next.resize(rows * n);
+  candidate.resize(rows * n);
+  gradient.resize(rows * n);
+  residual.resize(rows * m);
+  ws.rownorms.resize(rows);
+  // Measurement rows move into compactable slot storage (uncharged
+  // setup): y_flat may alias caller scratch that must not be reordered.
+  ys.assign(y_flat.begin(), y_flat.end());
 
-  double t_k = 1.0;
   const bool support_aware = options.support_tolerance > 0.0;
-  std::size_t support_stable = 0;
+  std::size_t active = problems;
 
-  for (std::size_t k = 1; k <= options.max_iterations; ++k) {
-    // grad f(y_k) = 2 A^T (A y_k - y).
-    A.apply(std::span<const T>(yk), std::span<T>(residual));
-    be.subtract(residual.data(), y.data(), residual.data(), m);
-    A.apply_adjoint(std::span<const T>(residual), std::span<T>(gradient));
-
-    // candidate = y_k - (1/L) * 2 * gradient_half  (factor 2 of grad f).
+  for (std::size_t k = 1; k <= options.max_iterations && active > 0; ++k) {
+    const std::size_t panel = active * leads;
+    // grad f(y_k) = 2 A^T (A y_k - y); candidate = y_k - (2/L) grad_half.
     // The copy goes through the backend so a counting decorator sees its
     // loads/stores in both schedules.
-    be.copy(yk.data(), candidate.data(), n);
-    be.axpy(static_cast<T>(-2.0) * step, gradient.data(), candidate.data(),
-            n);
+    A.apply_batch(std::span<const T>(yk.data(), panel * n),
+                  std::span<T>(residual.data(), panel * m), panel);
+    be.subtract_batch(residual.data(), ys.data(), residual.data(), panel, m);
+    A.apply_adjoint_batch(std::span<const T>(residual.data(), panel * m),
+                          std::span<T>(gradient.data(), panel * n), panel);
+    be.copy_batch(yk.data(), candidate.data(), panel, n);
+    be.axpy_batch(static_cast<T>(-2.0) * step, gradient.data(),
+                  candidate.data(), panel, n);
 
-    // a_k = soft_threshold(candidate, lambda / L) — per-coefficient
-    // thresholds in the weighted variant.
-    std::vector<T>& a_k = result.solution;
-    if (weighted) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const T v = candidate[i];
-        const T mag = (v < T{} ? -v : v) - thresholds[i];
-        const T shrunk = mag > T{} ? mag : T{};
-        a_next[i] = v < T{} ? -shrunk : shrunk;
-      }
-      if (be.counting()) {
-        linalg::OpCounts c;
-        if (schedule == linalg::KernelMode::kScalar) {
-          c.scalar_op = 5 * n;
-        } else {
-          c.vector_op4 = 5 * n / 4;
-        }
-        c.loads = 2 * n;
-        c.stores = n;
-        be.charge(c);
-      }
-    } else {
-      be.soft_threshold(candidate.data(), threshold, a_next.data(), n);
-    }
-
-    // Convergence bookkeeping on the iterate change. The support check
-    // piggybacks on the same pass — like the restart alignment loop it
-    // is stopping-rule control flow, outside the charged kernel model.
-    double change_sq = 0.0;
-    double norm_sq = 0.0;
-    bool support_changed = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double diff =
-          static_cast<double>(a_next[i]) - static_cast<double>(a_k[i]);
-      change_sq += diff * diff;
-      norm_sq += static_cast<double>(a_next[i]) *
-                 static_cast<double>(a_next[i]);
-      if (support_aware && ((a_next[i] != T{}) != (a_k[i] != T{}))) {
-        support_changed = true;
-      }
-    }
-    if (support_aware) {
-      support_stable = support_changed ? 0 : support_stable + 1;
-    }
-
-    if (momentum) {
-      if (options.adaptive_restart) {
-        // Gradient restart test: if the momentum direction (a_new - a_old)
-        // opposes the last proximal step (y_k - a_new), kill the momentum.
-        double alignment = 0.0;
+    // a_k = prox(candidate) (eq 4): the l2,1 group shrink across a
+    // problem's leads, which at leads == 1 is the plain soft threshold;
+    // per-coefficient thresholds in the weighted variant.
+    for (std::size_t s = 0; s < active; ++s) {
+      const std::size_t p = ws.perm[s];
+      const T* cand = candidate.data() + s * ln;
+      T* next = a_next.data() + s * ln;
+      if (weighted) {
+        const T* thresholds = ws.weighted_thresholds.data() + p * n;
         for (std::size_t i = 0; i < n; ++i) {
-          alignment += (static_cast<double>(yk[i]) -
-                        static_cast<double>(a_next[i])) *
-                       (static_cast<double>(a_next[i]) -
-                        static_cast<double>(a_k[i]));
+          const T v = cand[i];
+          const T mag = (v < T{} ? -v : v) - thresholds[i];
+          const T shrunk = mag > T{} ? mag : T{};
+          next[i] = v < T{} ? -shrunk : shrunk;
         }
-        if (alignment > 0.0) {
-          t_k = 1.0;
-        }
-      }
-      const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0;
-      const T beta = static_cast<T>((t_k - 1.0) / t_next);
-      for (std::size_t i = 0; i < n; ++i) {
-        yk[i] = a_next[i] + beta * (a_next[i] - a_k[i]);
-      }
-      t_k = t_next;
-      if (be.counting()) {
-        // Momentum update: sub + MAC per element, 2n loads, n stores.
-        linalg::OpCounts c;
-        const std::uint64_t elems = 2ull * n;
-        if (schedule == linalg::KernelMode::kScalar) {
-          c.scalar_op = elems;
-        } else {
-          c.vector_op4 = elems / 4;
-        }
-        c.loads = 2ull * n;
-        c.stores = n;
-        be.charge(c);
-      }
-    } else {
-      be.copy(a_next.data(), yk.data(), n);
-    }
-    std::swap(a_k, a_next);
-    result.iterations = k;
-
-    if (be.counting()) {
-      // Charge the iterate-change accumulation loop (sub + two MACs per
-      // element over a_next and a_k); the candidate and yk copies are
-      // charged by the backend copy kernel itself.
-      linalg::OpCounts c;
-      const std::uint64_t elems = 3ull * n;
-      if (schedule == linalg::KernelMode::kScalar) {
-        c.scalar_op = elems;
+        charge_loop(be, 5ull * n, 2ull * n, n);
       } else {
-        c.vector_op4 = elems / 4;
+        be.group_soft_threshold_batch(cand, ws.thresholds[p], next, leads, n);
       }
-      c.loads = 2ull * n;
-      be.charge(c);
     }
 
-    // Objective / residual at a_k (needed for sigma stopping and traces).
-    const bool need_objective =
-        options.record_objective || options.sigma.has_value() ||
-        k == options.max_iterations;
-    double residual_norm = 0.0;
-    if (need_objective) {
-      A.apply(std::span<const T>(a_k), std::span<T>(residual));
-      be.subtract(residual.data(), y.data(), residual.data(), m);
-      residual_norm =
-          std::sqrt(static_cast<double>(be.norm2_squared(residual.data(), m)));
+    // Residual at the new iterate, for sigma stopping, objective traces
+    // and the final iteration's diagnostics.
+    const bool need_residual = options.record_objective ||
+                               options.sigma.has_value() ||
+                               k == options.max_iterations;
+    if (need_residual) {
+      A.apply_batch(std::span<const T>(a_next.data(), panel * n),
+                    std::span<T>(residual.data(), panel * m), panel);
+      be.subtract_batch(residual.data(), ys.data(), residual.data(), panel,
+                        m);
+      be.dot_batch(residual.data(), residual.data(), ws.rownorms.data(),
+                   panel, m);
+    }
+
+    // Per-problem bookkeeping, stopping and compaction. Descending slot
+    // order keeps swap-with-last sound: the problem moved in from the end
+    // has already been processed this iteration.
+    for (std::size_t s = active; s-- > 0;) {
+      const std::size_t p = ws.perm[s];
+      T* yk_s = yk.data() + s * ln;
+      T* next = a_next.data() + s * ln;
+      const T* cur = a_k.data() + s * ln;
+
+      // Iterate change. The support check piggybacks on the same pass —
+      // like the restart alignment loop it is stopping-rule control
+      // flow, outside the charged kernel model.
+      double change_sq = 0.0;
+      double norm_sq = 0.0;
+      bool support_changed = false;
+      for (std::size_t i = 0; i < ln; ++i) {
+        const double diff =
+            static_cast<double>(next[i]) - static_cast<double>(cur[i]);
+        change_sq += diff * diff;
+        norm_sq += static_cast<double>(next[i]) * static_cast<double>(next[i]);
+        if (support_aware && ((next[i] != T{}) != (cur[i] != T{}))) {
+          support_changed = true;
+        }
+      }
+      if (support_aware) {
+        ws.support_stable[p] = support_changed ? 0 : ws.support_stable[p] + 1;
+      }
+
+      if (momentum) {
+        double t_k = ws.tk[p];
+        if (options.adaptive_restart) {
+          // Gradient restart test: if the momentum direction (a_new -
+          // a_old) opposes the last proximal step (y_k - a_new), kill
+          // the momentum.
+          double alignment = 0.0;
+          for (std::size_t i = 0; i < ln; ++i) {
+            alignment +=
+                (static_cast<double>(yk_s[i]) - static_cast<double>(next[i])) *
+                (static_cast<double>(next[i]) - static_cast<double>(cur[i]));
+          }
+          if (alignment > 0.0) {
+            t_k = 1.0;
+          }
+        }
+        // eqs 5-6.
+        const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0;
+        const T beta = static_cast<T>((t_k - 1.0) / t_next);
+        for (std::size_t i = 0; i < ln; ++i) {
+          yk_s[i] = next[i] + beta * (next[i] - cur[i]);
+        }
+        ws.tk[p] = t_next;
+        // Momentum update: sub + MAC per element, 2 loads, 1 store.
+        charge_loop(be, 2ull * ln, 2ull * ln, ln);
+      } else {
+        be.copy(next, yk_s, ln);
+      }
+      // Iterate-change accumulation: sub + two MACs per element, 2 loads.
+      charge_loop(be, 3ull * ln, 2ull * ln, 0);
+
+      // Residual-based rules (sigma, traces) are single-row only.
+      const double residual_norm =
+          need_residual && leads == 1
+              ? std::sqrt(static_cast<double>(ws.rownorms[s]))
+              : 0.0;
       if (options.record_objective) {
-        const double l1 = g_value(std::span<const T>(a_k));
-        result.objective_trace.push_back(residual_norm * residual_norm +
-                                         options.lambda * l1);
+        results[p].objective_trace.push_back(residual_norm * residual_norm +
+                                             lambdas[p] * g_value(next));
+      }
+      // Once the support has been stable long enough the active set has
+      // locked in, and the (looser) support tolerance governs the stop.
+      const double tolerance =
+          support_aware && ws.support_stable[p] >= options.support_stable_iters
+              ? std::max(options.tolerance, options.support_tolerance)
+              : options.tolerance;
+      const bool stop =
+          (options.sigma.has_value() && residual_norm <= *options.sigma) ||
+          (norm_sq > 0.0 && std::sqrt(change_sq / norm_sq) < tolerance);
+      if (stop || k == options.max_iterations) {
+        for (std::size_t l = 0; l < leads; ++l) {
+          ShrinkageResult<T>& r = results[p * leads + l];
+          r.solution.assign(next + l * n, next + (l + 1) * n);
+          r.iterations = k;
+          r.converged = stop;
+        }
+      }
+      if (stop) {
+        --active;
+        if (s != active) {
+          std::copy_n(yk.data() + active * ln, ln, yk_s);
+          std::copy_n(a_next.data() + active * ln, ln, next);
+          std::copy_n(ys.data() + active * leads * m, leads * m,
+                      ys.data() + s * leads * m);
+          ws.perm[s] = ws.perm[active];
+        }
       }
     }
-
-    if (options.sigma.has_value() && residual_norm <= *options.sigma) {
-      result.converged = true;
-      result.final_residual_norm = residual_norm;
-      break;
-    }
-    // Once the support has been stable long enough the active set has
-    // locked in, and the (looser) support tolerance governs the stop.
-    const double effective_tolerance =
-        support_aware && support_stable >= options.support_stable_iters
-            ? std::max(options.tolerance, options.support_tolerance)
-            : options.tolerance;
-    if (norm_sq > 0.0 &&
-        std::sqrt(change_sq / norm_sq) < effective_tolerance) {
-      result.converged = true;
-      break;
-    }
+    // The old a_k rows are dead (fully overwritten by the next prox
+    // before any read), so only a_next needed compaction.
+    std::swap(a_k, a_next);
   }
 
-  // Final diagnostics.
-  A.apply(std::span<const T>(result.solution), std::span<T>(residual));
-  be.subtract(residual.data(), y.data(), residual.data(), m);
-  result.final_residual_norm =
-      std::sqrt(static_cast<double>(be.norm2_squared(residual.data(), m)));
-  const double l1 = g_value(std::span<const T>(result.solution));
-  result.final_objective =
-      result.final_residual_norm * result.final_residual_norm +
-      options.lambda * l1;
+  // Final diagnostics per row: ||A a - y|| and F(a) = ||A a - y||^2 +
+  // lambda g(a) (per lead for a group).
+  const std::span<T> diag(residual.data(), m);
+  for (std::size_t r = 0; r < rows; ++r) {
+    ShrinkageResult<T>& res = results[r];
+    A.apply(std::span<const T>(res.solution), diag);
+    be.subtract(diag.data(), y_flat.data() + r * m, diag.data(), m);
+    res.final_residual_norm =
+        std::sqrt(static_cast<double>(be.norm2_squared(diag.data(), m)));
+    res.final_objective = res.final_residual_norm * res.final_residual_norm +
+                          lambdas[r / leads] * g_value(res.solution.data());
+  }
+  return results;
 }
 
 }  // namespace
+
+template <typename T>
+std::span<ShrinkageResult<T>> fista_panel(const linalg::LinearOperator<T>& A,
+                                          std::span<const T> y_flat,
+                                          std::span<const double> lambdas,
+                                          std::size_t leads,
+                                          const ShrinkageOptions& options,
+                                          SolverWorkspace& workspace) {
+  const auto results = shrinkage_panel(A, y_flat, lambdas, leads, options,
+                                       /*momentum=*/true, workspace);
+  // The iteration count is the paper's runtime currency (Fig 7, §V): a
+  // per-solve histogram makes its distribution observable live.
+  for (std::size_t r = 0; r < results.size(); r += leads) {
+    const auto iterations = static_cast<double>(results[r].iterations);
+    if (leads == 1) {
+      obs::observe("fista.iterations", iterations);
+      obs::add("fista.calls");
+      if (results[r].converged) {
+        obs::add("fista.converged");
+      }
+    } else {
+      obs::observe("fista.group.iterations", iterations);
+      obs::observe("fista.group.leads", static_cast<double>(leads));
+      obs::add("fista.group.calls");
+      if (results[r].converged) {
+        obs::add("fista.group.converged");
+      }
+    }
+  }
+  return results;
+}
 
 template <typename T>
 ShrinkageResult<T>& fista(const linalg::LinearOperator<T>& A,
                           std::span<const T> y,
                           const ShrinkageOptions& options,
                           SolverWorkspace& workspace) {
-  shrinkage_solve(A, y, options, /*momentum=*/true, workspace);
-  ShrinkageResult<T>& result = workspace.buffers<T>().result;
-  // The iteration count is the paper's runtime currency (Fig 7, §V): a
-  // per-solve histogram makes its distribution observable live.
-  obs::observe("fista.iterations", static_cast<double>(result.iterations));
-  obs::add("fista.calls");
-  if (result.converged) {
-    obs::add("fista.converged");
-  }
-  return result;
+  return fista_panel(A, y, std::span<const double>(&options.lambda, 1), 1,
+                     options, workspace)[0];
 }
 
 template <typename T>
@@ -294,8 +382,9 @@ ShrinkageResult<T>& ista(const linalg::LinearOperator<T>& A,
                          std::span<const T> y,
                          const ShrinkageOptions& options,
                          SolverWorkspace& workspace) {
-  shrinkage_solve(A, y, options, /*momentum=*/false, workspace);
-  ShrinkageResult<T>& result = workspace.buffers<T>().result;
+  ShrinkageResult<T>& result =
+      shrinkage_panel(A, y, std::span<const double>(&options.lambda, 1), 1,
+                      options, /*momentum=*/false, workspace)[0];
   obs::observe("ista.iterations", static_cast<double>(result.iterations));
   obs::add("ista.calls");
   return result;
@@ -315,492 +404,6 @@ ShrinkageResult<T> ista(const linalg::LinearOperator<T>& A,
                         const ShrinkageOptions& options) {
   SolverWorkspace workspace;
   return std::move(ista<T>(A, y, options, workspace));
-}
-
-template <typename T>
-std::span<ShrinkageResult<T>> fista_batch(const linalg::LinearOperator<T>& A,
-                                          std::span<const T> y_flat,
-                                          std::span<const double> lambdas,
-                                          const ShrinkageOptions& options,
-                                          SolverWorkspace& workspace) {
-  const std::size_t batch = lambdas.size();
-  const std::size_t n = A.cols();
-  const std::size_t m = A.rows();
-  CSECG_CHECK(y_flat.size() == batch * m, "batched measurement size mismatch");
-  CSECG_CHECK(options.max_iterations > 0, "need at least one iteration");
-  CSECG_CHECK(options.weights.empty(),
-              "fista_batch does not support per-coefficient weights");
-  CSECG_CHECK(!options.sigma.has_value(),
-              "fista_batch does not support sigma stopping");
-  CSECG_CHECK(!options.record_objective,
-              "fista_batch does not record objective traces");
-
-  auto& ws = workspace.buffers<T>();
-  ws.batch_results.resize(batch);
-  const std::span<ShrinkageResult<T>> results(ws.batch_results.data(), batch);
-  if (batch == 0) {
-    return results;
-  }
-
-  const linalg::Backend& be = resolve_backend(options);
-  const linalg::KernelMode schedule = be.counted_schedule();
-  const double lipschitz =
-      options.lipschitz.has_value()
-          ? *options.lipschitz
-          : 2.0 * linalg::estimate_spectral_norm_squared(A);
-  CSECG_CHECK(lipschitz > 0.0, "operator has zero spectral norm");
-  const T step = static_cast<T>(1.0 / lipschitz);
-
-  ws.batch_thresholds.resize(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    CSECG_CHECK(lambdas[b] >= 0.0, "lambda must be non-negative");
-    ws.batch_thresholds[b] = static_cast<T>(lambdas[b] / lipschitz);
-  }
-
-  const bool warm = !options.warm_start.empty();
-  CSECG_CHECK(!warm || options.warm_start.size() == batch * n,
-              "batched warm start must be batch * cols with per-row priors");
-  const bool support_aware = options.support_tolerance > 0.0;
-
-  std::vector<T>& yk = ws.batch_yk;
-  std::vector<T>& residual = ws.batch_residual;
-  std::vector<T>& gradient = ws.batch_gradient;
-  std::vector<T>& candidate = ws.batch_candidate;
-  std::vector<T>& a_next = ws.batch_a_next;
-  std::vector<T>& a_k = ws.batch_solution;
-  std::vector<T>& ys = ws.batch_ys;
-  // Step 0 per row: y_1 = a_0 — zero when cold, the row's prior when warm
-  // (uncharged setup, exactly like the sequential seeding).
-  if (warm) {
-    yk.resize(batch * n);
-    a_k.resize(batch * n);
-    for (std::size_t i = 0; i < batch * n; ++i) {
-      const T v = static_cast<T>(options.warm_start[i]);
-      yk[i] = v;
-      a_k[i] = v;
-    }
-  } else {
-    yk.assign(batch * n, T{});
-    a_k.assign(batch * n, T{});
-  }
-  residual.resize(batch * m);
-  gradient.resize(batch * n);
-  candidate.resize(batch * n);
-  a_next.resize(batch * n);
-  // Measurement rows move into compactable slot storage (uncharged setup):
-  // the panel subtract needs the active rows contiguous, and y_flat may
-  // alias caller scratch that must not be reordered.
-  ys.assign(y_flat.begin(), y_flat.end());
-  ws.batch_tk.assign(batch, 1.0);
-  ws.batch_support_stable.assign(batch, 0);
-  ws.batch_perm.resize(batch);
-  ws.batch_change_sq.resize(batch);
-  ws.batch_norm_sq.resize(batch);
-  ws.batch_rownorms.resize(batch);
-
-  for (std::size_t b = 0; b < batch; ++b) {
-    ws.batch_perm[b] = b;
-    ShrinkageResult<T>& r = ws.batch_results[b];
-    r.iterations = 0;
-    r.converged = false;
-    r.final_objective = 0.0;
-    r.final_residual_norm = 0.0;
-    r.objective_trace.clear();
-  }
-
-  // Panel iteration: every stage of the FISTA step runs as one panel
-  // kernel over the `active` rows, so the operator (Phi's index table,
-  // Psi's filter levels) and the elementwise sweeps are traversed once
-  // per iteration instead of once per row. Per-row state (momentum t_k,
-  // restart, support counters) lives in the per-slot bookkeeping pass —
-  // a restart resets one row's momentum without perturbing its
-  // neighbours' bitwise trajectories. A converged row is compacted out
-  // by swapping the last active row into its slot, so the panels shrink
-  // and frozen rows stop being charged: the batch prices byte-identical
-  // to the sum of the sequential solves, not the lock-step rectangle.
-  std::size_t active = batch;
-
-  for (std::size_t k = 1; k <= options.max_iterations && active > 0; ++k) {
-    // grad f(y_k) = 2 A^T (A y_k - y), candidate = y_k - (2/L) grad_half,
-    // a_next = shrink(candidate) — all as panels over the active rows.
-    A.apply_batch(std::span<const T>(yk.data(), active * n),
-                  std::span<T>(residual.data(), active * m), active);
-    be.subtract_batch(residual.data(), ys.data(), residual.data(), active, m);
-    A.apply_adjoint_batch(std::span<const T>(residual.data(), active * m),
-                          std::span<T>(gradient.data(), active * n), active);
-    be.copy_batch(yk.data(), candidate.data(), active, n);
-    be.axpy_batch(static_cast<T>(-2.0) * step, gradient.data(),
-                  candidate.data(), active, n);
-    be.soft_threshold_batch(candidate.data(), ws.batch_thresholds.data(),
-                            a_next.data(), active, n);
-
-    // Per-slot bookkeeping: iterate change, support stability, restart
-    // and the momentum update. The hand loops and their charges are the
-    // sequential solver's, applied per active row.
-    for (std::size_t s = 0; s < active; ++s) {
-      T* yk_row = yk.data() + s * n;
-      T* next_row = a_next.data() + s * n;
-      const T* cur_row = a_k.data() + s * n;
-
-      double change_sq = 0.0;
-      double norm_sq = 0.0;
-      bool support_changed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double diff = static_cast<double>(next_row[i]) -
-                            static_cast<double>(cur_row[i]);
-        change_sq += diff * diff;
-        norm_sq += static_cast<double>(next_row[i]) *
-                   static_cast<double>(next_row[i]);
-        if (support_aware && ((next_row[i] != T{}) != (cur_row[i] != T{}))) {
-          support_changed = true;
-        }
-      }
-      ws.batch_change_sq[s] = change_sq;
-      ws.batch_norm_sq[s] = norm_sq;
-      if (support_aware) {
-        ws.batch_support_stable[s] =
-            support_changed ? 0 : ws.batch_support_stable[s] + 1;
-      }
-
-      // Momentum with this row's own t_k (same arithmetic as the
-      // sequential hand loop, so rows stay bitwise identical).
-      double t_b = ws.batch_tk[s];
-      if (options.adaptive_restart) {
-        double alignment = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          alignment += (static_cast<double>(yk_row[i]) -
-                        static_cast<double>(next_row[i])) *
-                       (static_cast<double>(next_row[i]) -
-                        static_cast<double>(cur_row[i]));
-        }
-        if (alignment > 0.0) {
-          t_b = 1.0;
-        }
-      }
-      const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_b * t_b)) / 2.0;
-      const T beta = static_cast<T>((t_b - 1.0) / t_next);
-      for (std::size_t i = 0; i < n; ++i) {
-        yk_row[i] = next_row[i] + beta * (next_row[i] - cur_row[i]);
-      }
-      ws.batch_tk[s] = t_next;
-    }
-    if (be.counting()) {
-      // Momentum update (sub + MAC per element, 2n loads, n stores) and
-      // the iterate-change loop (sub + two MACs per element, 2n loads),
-      // charged per active row exactly as the sequential solver does.
-      linalg::OpCounts c;
-      const std::uint64_t elems = 2ull * n;
-      if (schedule == linalg::KernelMode::kScalar) {
-        c.scalar_op = elems;
-      } else {
-        c.vector_op4 = elems / 4;
-      }
-      c.loads = 2ull * n;
-      c.stores = n;
-      linalg::OpCounts c2;
-      const std::uint64_t elems2 = 3ull * n;
-      if (schedule == linalg::KernelMode::kScalar) {
-        c2.scalar_op = elems2;
-      } else {
-        c2.vector_op4 = elems2 / 4;
-      }
-      c2.loads = 2ull * n;
-      for (std::size_t s = 0; s < active; ++s) {
-        be.charge(c);
-        be.charge(c2);
-      }
-    }
-
-    if (k == options.max_iterations) {
-      // The sequential solver evaluates the residual at the final iterate
-      // (its need_objective branch); mirror it as a panel so the charge
-      // profile stays the sum of sequential solves.
-      A.apply_batch(std::span<const T>(a_next.data(), active * n),
-                    std::span<T>(residual.data(), active * m), active);
-      be.subtract_batch(residual.data(), ys.data(), residual.data(), active,
-                        m);
-      be.dot_batch(residual.data(), residual.data(), ws.batch_rownorms.data(),
-                   active, m);
-    }
-
-    // Convergence, result snapshots and frozen-row compaction. Descending
-    // slot order keeps swap-with-last sound: the row swapped in from the
-    // end has already been processed this iteration.
-    for (std::size_t s = active; s-- > 0;) {
-      const double effective_tolerance =
-          support_aware &&
-                  ws.batch_support_stable[s] >= options.support_stable_iters
-              ? std::max(options.tolerance, options.support_tolerance)
-              : options.tolerance;
-      const bool converged =
-          ws.batch_norm_sq[s] > 0.0 &&
-          std::sqrt(ws.batch_change_sq[s] / ws.batch_norm_sq[s]) <
-              effective_tolerance;
-      const T* next_row = a_next.data() + s * n;
-      if (converged) {
-        // This problem is done: snapshot the new iterate now — the
-        // sequential solver's stopping state, bit for bit — and compact
-        // the slot away so later panels no longer touch (or charge) it.
-        ShrinkageResult<T>& r = ws.batch_results[ws.batch_perm[s]];
-        r.solution.assign(next_row, next_row + n);
-        r.iterations = k;
-        r.converged = true;
-        --active;
-        if (s != active) {
-          const T* last_yk = yk.data() + active * n;
-          const T* last_next = a_next.data() + active * n;
-          const T* last_y = ys.data() + active * m;
-          std::copy(last_yk, last_yk + n, yk.data() + s * n);
-          std::copy(last_next, last_next + n, a_next.data() + s * n);
-          std::copy(last_y, last_y + m, ys.data() + s * m);
-          ws.batch_thresholds[s] = ws.batch_thresholds[active];
-          ws.batch_tk[s] = ws.batch_tk[active];
-          ws.batch_support_stable[s] = ws.batch_support_stable[active];
-          ws.batch_perm[s] = ws.batch_perm[active];
-        }
-      } else if (k == options.max_iterations) {
-        ShrinkageResult<T>& r = ws.batch_results[ws.batch_perm[s]];
-        r.solution.assign(next_row, next_row + n);
-        r.iterations = k;
-        r.converged = false;
-      }
-    }
-    // The old a_k rows are dead (fully overwritten by the next panel
-    // shrink before any read), so only a_next needed compaction.
-    std::swap(a_k, a_next);
-  }
-
-  // Final diagnostics per problem, identical to the sequential epilogue.
-  std::vector<T>& diag_residual = ws.residual;
-  diag_residual.resize(m);
-  for (std::size_t b = 0; b < batch; ++b) {
-    ShrinkageResult<T>& r = ws.batch_results[b];
-    A.apply(std::span<const T>(r.solution), std::span<T>(diag_residual));
-    be.subtract(diag_residual.data(), y_flat.data() + b * m,
-                diag_residual.data(), m);
-    r.final_residual_norm = std::sqrt(
-        static_cast<double>(be.norm2_squared(diag_residual.data(), m)));
-    const double l1 =
-        static_cast<double>(be.norm1(r.solution.data(), r.solution.size()));
-    r.final_objective = r.final_residual_norm * r.final_residual_norm +
-                        lambdas[b] * l1;
-    obs::observe("fista.iterations", static_cast<double>(r.iterations));
-    obs::add("fista.calls");
-    if (r.converged) {
-      obs::add("fista.converged");
-    }
-  }
-  return results;
-}
-
-template <typename T>
-std::span<ShrinkageResult<T>> fista_group(const linalg::LinearOperator<T>& A,
-                                          std::span<const T> y_flat,
-                                          std::size_t leads,
-                                          const ShrinkageOptions& options,
-                                          SolverWorkspace& workspace) {
-  const std::size_t n = A.cols();
-  const std::size_t m = A.rows();
-  CSECG_CHECK(leads > 0, "lead group must be non-empty");
-  CSECG_CHECK(y_flat.size() == leads * m, "group measurement size mismatch");
-  CSECG_CHECK(options.lambda >= 0.0, "lambda must be non-negative");
-  CSECG_CHECK(options.max_iterations > 0, "need at least one iteration");
-  CSECG_CHECK(options.weights.empty(),
-              "fista_group does not support per-coefficient weights");
-  CSECG_CHECK(!options.sigma.has_value(),
-              "fista_group does not support sigma stopping");
-  CSECG_CHECK(!options.record_objective,
-              "fista_group does not record objective traces");
-
-  auto& ws = workspace.buffers<T>();
-  ws.batch_results.resize(leads);
-  const std::span<ShrinkageResult<T>> results(ws.batch_results.data(), leads);
-
-  const linalg::Backend& be = resolve_backend(options);
-  const linalg::KernelMode schedule = be.counted_schedule();
-  const double lipschitz =
-      options.lipschitz.has_value()
-          ? *options.lipschitz
-          : 2.0 * linalg::estimate_spectral_norm_squared(A);
-  CSECG_CHECK(lipschitz > 0.0, "operator has zero spectral norm");
-  const T step = static_cast<T>(1.0 / lipschitz);
-  const T threshold = static_cast<T>(options.lambda / lipschitz);
-
-  const bool warm = !options.warm_start.empty();
-  CSECG_CHECK(!warm || options.warm_start.size() == leads * n,
-              "group warm start must be leads * cols with per-lead priors");
-  const bool support_aware = options.support_tolerance > 0.0;
-  const std::size_t ln = leads * n;
-
-  std::vector<T>& yk = ws.batch_yk;
-  std::vector<T>& residual = ws.batch_residual;
-  std::vector<T>& gradient = ws.batch_gradient;
-  std::vector<T>& candidate = ws.batch_candidate;
-  std::vector<T>& a_next = ws.batch_a_next;
-  std::vector<T>& a_k = ws.batch_solution;
-  // Step 0: y_1 = a_0 across the whole group (uncharged setup, like the
-  // sequential seeding).
-  if (warm) {
-    yk.resize(ln);
-    a_k.resize(ln);
-    for (std::size_t i = 0; i < ln; ++i) {
-      const T v = static_cast<T>(options.warm_start[i]);
-      yk[i] = v;
-      a_k[i] = v;
-    }
-  } else {
-    yk.assign(ln, T{});
-    a_k.assign(ln, T{});
-  }
-  residual.resize(leads * m);
-  gradient.resize(ln);
-  candidate.resize(ln);
-  a_next.resize(ln);
-
-  // One momentum scalar, one restart test and one stopping rule for the
-  // whole group: the l2,1 objective couples the leads through the group
-  // shrink, so per-lead momentum would chase different trajectories for
-  // what is mathematically a single problem. At leads == 1 every scalar
-  // below degenerates to the sequential solver's bookkeeping.
-  double t_k = 1.0;
-  std::size_t support_stable = 0;
-  std::size_t iterations = 0;
-  bool converged = false;
-
-  for (std::size_t k = 1; k <= options.max_iterations; ++k) {
-    // grad f(y_k) = 2 A^T (A y_k - y) lead by lead, one operator
-    // traversal per iteration via the panel kernels.
-    A.apply_batch(std::span<const T>(yk.data(), ln),
-                  std::span<T>(residual.data(), leads * m), leads);
-    be.subtract_batch(residual.data(), y_flat.data(), residual.data(), leads,
-                      m);
-    A.apply_adjoint_batch(std::span<const T>(residual.data(), leads * m),
-                          std::span<T>(gradient.data(), ln), leads);
-    be.copy_batch(yk.data(), candidate.data(), leads, n);
-    be.axpy_batch(static_cast<T>(-2.0) * step, gradient.data(),
-                  candidate.data(), leads, n);
-    // a_k = group-shrink(candidate): the l2,1 proximal step across the
-    // lead axis (plain soft threshold at leads == 1).
-    be.group_soft_threshold_batch(candidate.data(), threshold, a_next.data(),
-                                  leads, n);
-
-    // Group bookkeeping, flat over leads * n — the sequential solver's
-    // loops with n replaced by the group size.
-    double change_sq = 0.0;
-    double norm_sq = 0.0;
-    bool support_changed = false;
-    for (std::size_t i = 0; i < ln; ++i) {
-      const double diff =
-          static_cast<double>(a_next[i]) - static_cast<double>(a_k[i]);
-      change_sq += diff * diff;
-      norm_sq +=
-          static_cast<double>(a_next[i]) * static_cast<double>(a_next[i]);
-      if (support_aware && ((a_next[i] != T{}) != (a_k[i] != T{}))) {
-        support_changed = true;
-      }
-    }
-    if (support_aware) {
-      support_stable = support_changed ? 0 : support_stable + 1;
-    }
-
-    if (options.adaptive_restart) {
-      double alignment = 0.0;
-      for (std::size_t i = 0; i < ln; ++i) {
-        alignment +=
-            (static_cast<double>(yk[i]) - static_cast<double>(a_next[i])) *
-            (static_cast<double>(a_next[i]) - static_cast<double>(a_k[i]));
-      }
-      if (alignment > 0.0) {
-        t_k = 1.0;
-      }
-    }
-    const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0;
-    const T beta = static_cast<T>((t_k - 1.0) / t_next);
-    for (std::size_t i = 0; i < ln; ++i) {
-      yk[i] = a_next[i] + beta * (a_next[i] - a_k[i]);
-    }
-    t_k = t_next;
-
-    if (be.counting()) {
-      // Momentum update (sub + MAC per element, 2 loads + 1 store) and
-      // the iterate-change loop (sub + two MACs, 2 loads), over the
-      // group's leads * n elements — the sequential charges at L = 1.
-      linalg::OpCounts c;
-      const std::uint64_t elems = 2ull * ln;
-      if (schedule == linalg::KernelMode::kScalar) {
-        c.scalar_op = elems;
-      } else {
-        c.vector_op4 = elems / 4;
-      }
-      c.loads = 2ull * ln;
-      c.stores = ln;
-      be.charge(c);
-      linalg::OpCounts c2;
-      const std::uint64_t elems2 = 3ull * ln;
-      if (schedule == linalg::KernelMode::kScalar) {
-        c2.scalar_op = elems2;
-      } else {
-        c2.vector_op4 = elems2 / 4;
-      }
-      c2.loads = 2ull * ln;
-      be.charge(c2);
-    }
-
-    std::swap(a_k, a_next);
-    iterations = k;
-
-    if (k == options.max_iterations) {
-      // The sequential solver evaluates the residual at the final iterate
-      // (its need_objective branch); mirror it as a panel so the charge
-      // profile matches at leads == 1.
-      A.apply_batch(std::span<const T>(a_k.data(), ln),
-                    std::span<T>(residual.data(), leads * m), leads);
-      be.subtract_batch(residual.data(), y_flat.data(), residual.data(),
-                        leads, m);
-      ws.batch_rownorms.resize(leads);
-      be.dot_batch(residual.data(), residual.data(), ws.batch_rownorms.data(),
-                   leads, m);
-    }
-
-    const double effective_tolerance =
-        support_aware && support_stable >= options.support_stable_iters
-            ? std::max(options.tolerance, options.support_tolerance)
-            : options.tolerance;
-    if (norm_sq > 0.0 &&
-        std::sqrt(change_sq / norm_sq) < effective_tolerance) {
-      converged = true;
-      break;
-    }
-  }
-
-  // Per-lead snapshots and final diagnostics, identical to the
-  // sequential epilogue per lead (iterations/converged are group-wide).
-  std::vector<T>& diag_residual = ws.residual;
-  diag_residual.resize(m);
-  for (std::size_t l = 0; l < leads; ++l) {
-    ShrinkageResult<T>& r = ws.batch_results[l];
-    const T* row = a_k.data() + l * n;
-    r.solution.assign(row, row + n);
-    r.iterations = iterations;
-    r.converged = converged;
-    r.objective_trace.clear();
-    A.apply(std::span<const T>(r.solution), std::span<T>(diag_residual));
-    be.subtract(diag_residual.data(), y_flat.data() + l * m,
-                diag_residual.data(), m);
-    r.final_residual_norm = std::sqrt(
-        static_cast<double>(be.norm2_squared(diag_residual.data(), m)));
-    const double l1 =
-        static_cast<double>(be.norm1(r.solution.data(), r.solution.size()));
-    r.final_objective = r.final_residual_norm * r.final_residual_norm +
-                        options.lambda * l1;
-  }
-  obs::observe("fista.group.iterations", static_cast<double>(iterations));
-  obs::observe("fista.group.leads", static_cast<double>(leads));
-  obs::add("fista.group.calls");
-  if (converged) {
-    obs::add("fista.group.converged");
-  }
-  return results;
 }
 
 template ShrinkageResult<float> fista<float>(
@@ -827,17 +430,13 @@ template ShrinkageResult<float>& ista<float>(
 template ShrinkageResult<double>& ista<double>(
     const linalg::LinearOperator<double>&, std::span<const double>,
     const ShrinkageOptions&, SolverWorkspace&);
-template std::span<ShrinkageResult<float>> fista_batch<float>(
+template std::span<ShrinkageResult<float>> fista_panel<float>(
     const linalg::LinearOperator<float>&, std::span<const float>,
-    std::span<const double>, const ShrinkageOptions&, SolverWorkspace&);
-template std::span<ShrinkageResult<double>> fista_batch<double>(
+    std::span<const double>, std::size_t, const ShrinkageOptions&,
+    SolverWorkspace&);
+template std::span<ShrinkageResult<double>> fista_panel<double>(
     const linalg::LinearOperator<double>&, std::span<const double>,
-    std::span<const double>, const ShrinkageOptions&, SolverWorkspace&);
-template std::span<ShrinkageResult<float>> fista_group<float>(
-    const linalg::LinearOperator<float>&, std::span<const float>, std::size_t,
-    const ShrinkageOptions&, SolverWorkspace&);
-template std::span<ShrinkageResult<double>> fista_group<double>(
-    const linalg::LinearOperator<double>&, std::span<const double>,
-    std::size_t, const ShrinkageOptions&, SolverWorkspace&);
+    std::span<const double>, std::size_t, const ShrinkageOptions&,
+    SolverWorkspace&);
 
 }  // namespace csecg::solvers

@@ -13,6 +13,11 @@
 ///
 /// with f(a) = ||A a - y||_2^2 and g(a) = lambda ||a||_1, whose prox is
 /// plain soft thresholding. Converges at O(1/k^2) versus ISTA's O(1/k).
+///
+/// One engine runs every solve: P problems of L contiguous rows each,
+/// sharing the operator A and advancing as one panel (one operator
+/// traversal per iteration). fista() and ista() are its P = 1, L = 1
+/// case (ISTA with the momentum off); fista_panel() exposes the rest.
 
 #include <span>
 
@@ -56,61 +61,42 @@ ShrinkageResult<T>& ista(const linalg::LinearOperator<T>& A,
                          const ShrinkageOptions& options,
                          SolverWorkspace& workspace);
 
-/// Batched FISTA: solves `lambdas.size()` problems that share the
-/// operator A, with y_flat holding the measurement rows packed back to
-/// back (batch * A.rows() elements) and lambdas[b] the per-problem l1
-/// weight (options.lambda is ignored). Each row runs the exact
-/// sequential iteration over its own slice with its own momentum scalar
-/// (so adaptive restart works per row), and a converged row is frozen —
-/// snapshotted at its own stopping iteration and dropped from every
-/// later sweep, so finished rows stop being charged while the batch runs
-/// on to the slowest member. Every problem produces bitwise the same
-/// iterate trajectory, iteration count and solution as a sequential
-/// fista() call with the same options and backend; with
-/// options.warm_start set (batch * A.cols() elements, per-row priors
-/// packed back to back) each row seeds from its own prior.
+/// Panel FISTA: solves P = lambdas.size() problems of `leads` rows each
+/// that share the operator A. y_flat packs the P * leads measurement
+/// rows back to back (problem-major, then lead-major), lambdas[p] is
+/// problem p's penalty weight (options.lambda is ignored) and the result
+/// span holds one entry per row.
 ///
-/// Restrictions (CHECK-enforced): no per-coefficient weights, no sigma
-/// stopping, no objective recording — the fleet decode path uses none of
-/// them. Results live in the workspace (buffers<T>().batch_results) and
-/// stay valid until the next batched solve through it.
+/// Each problem runs its own iteration with its own momentum scalar,
+/// restart test, support counter, stopping rule and objective trace, and
+/// a finished problem stops being swept (and charged) at its own
+/// stopping iteration. So every problem produces bitwise the same
+/// iterates, iteration count and solution as it would solved alone, and
+/// the solver's kernels and bookkeeping charge exactly what the
+/// sequential fista() calls would (the operator prices its own panel
+/// applies).
+///
+/// The prox is per problem:
+///  * leads == 1: the soft threshold, or the weighted soft threshold
+///    when options.weights is set;
+///  * leads > 1: the l2,1 group shrink of a lead group,
+///      min_a sum_l ||A a_l - y_l||^2 + lambda * sum_i ||a_{.,i}||_2,
+///    where a_{.,i} collects coefficient i across the group's leads, so
+///    leads with correlated wavelet support reinforce each other. One
+///    momentum scalar, restart test and stopping rule (summed over the
+///    lead axis) cover the whole group; iterations/converged are
+///    group-wide and final_objective is the per-lead diagnostic
+///    ||A a_l - y_l||^2 + lambda ||a_l||_1.
+///
+/// options.warm_start, when set, is P * leads * A.cols() per-row priors
+/// packed like y_flat. Lead groups (leads > 1) take no per-coefficient
+/// weights, sigma stopping or objective traces (CHECK-enforced): the
+/// group penalty is defined for the uniform weight only. Results live in
+/// the workspace and stay valid until the next solve through it.
 template <typename T>
-std::span<ShrinkageResult<T>> fista_batch(const linalg::LinearOperator<T>& A,
+std::span<ShrinkageResult<T>> fista_panel(const linalg::LinearOperator<T>& A,
                                           std::span<const T> y_flat,
                                           std::span<const double> lambdas,
-                                          const ShrinkageOptions& options,
-                                          SolverWorkspace& workspace);
-
-/// Joint group-sparse FISTA over a lead group: `leads` measurement rows
-/// (packed back to back in y_flat, leads * A.rows() elements) that share
-/// the operator A and one l2,1 regulariser,
-///
-///   min_a sum_l ||A a_l - y_l||^2 + lambda * sum_i ||a_{.,i}||_2
-///
-/// where a_{.,i} collects coefficient i across all leads. The proximal
-/// step is the group shrink (Backend::group_soft_threshold_batch): leads
-/// with correlated wavelet support reinforce each other's coefficients
-/// instead of being thresholded independently. The whole group shares
-/// one momentum scalar, one restart test and one stopping rule (summed
-/// over the lead axis), so the group converges — and is priced — as one
-/// problem riding the panel kernels: one operator traversal per
-/// iteration regardless of L.
-///
-/// leads == 1 degenerates bitwise to the sequential fista() call with
-/// the same options and backend: every panel kernel is row-identical to
-/// its single-vector form, the group shrink delegates to the plain soft
-/// threshold, and the scalar bookkeeping reduces to the sequential
-/// loops. options.warm_start, when set, is leads * A.cols() per-lead
-/// priors packed back to back.
-///
-/// Restrictions (CHECK-enforced): no per-coefficient weights, no sigma
-/// stopping, no objective recording. Results (one per lead; iterations/
-/// converged are group-wide, final_objective is the per-lead diagnostic
-/// ||A a_l - y_l||^2 + lambda ||a_l||_1) live in the workspace and stay
-/// valid until the next batched or group solve through it.
-template <typename T>
-std::span<ShrinkageResult<T>> fista_group(const linalg::LinearOperator<T>& A,
-                                          std::span<const T> y_flat,
                                           std::size_t leads,
                                           const ShrinkageOptions& options,
                                           SolverWorkspace& workspace);

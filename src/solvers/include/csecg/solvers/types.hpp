@@ -46,10 +46,11 @@ struct ShrinkageOptions {
   /// zero — the Polanía et al. prior exploitation: consecutive ECG
   /// windows are quasi-periodic, so the previous window's solution is an
   /// excellent initial iterate. Length must be A.cols() for fista()/
-  /// ista(); for fista_batch it is batch * A.cols() with per-row priors
-  /// packed back to back. Empty = cold (zero) start. The span must stay
-  /// valid for the duration of the solve; the values are consumed at
-  /// seed time, so the caller may overwrite them afterwards.
+  /// ista(); for fista_panel it is one prior per row, P * leads *
+  /// A.cols() packed like the measurement rows. Empty = cold (zero)
+  /// start. The span must stay valid for the duration of the solve; the
+  /// values are consumed at seed time, so the caller may overwrite them
+  /// afterwards.
   std::span<const double> warm_start;
   /// Support-aware stopping (0 = off): once the support (nonzero
   /// pattern) of the iterate has been stable for support_stable_iters

@@ -4,10 +4,10 @@
 /// \file workspace.hpp
 /// Reusable scratch memory for the iterative shrinkage solvers.
 ///
-/// A plain fista()/ista() call heap-allocates five n/m-sized scratch
-/// vectors (extrapolation point, residual, gradient, candidate, next
-/// iterate) plus the per-coefficient threshold buffer and the result
-/// storage. That is fine for a one-shot solve but becomes the dominant
+/// A solve needs five iterate-sized panels (extrapolation points,
+/// current and next iterates, prox candidates, gradients), two
+/// measurement-sized ones, per-problem state and the results. Allocating
+/// them per call is fine for a one-shot solve but becomes the dominant
 /// non-kernel cost once a gateway decodes many 2-s windows per second
 /// across a worker pool. A SolverWorkspace owns all of that scratch:
 /// buffers are sized on first use and reused across solves, so FISTA runs
@@ -26,56 +26,40 @@ class SolverWorkspace {
  public:
   /// Per-precision scratch. All vectors only ever grow; resize() between
   /// solves of the same problem shape never reallocates.
+  ///
+  /// The engine solves P problems of L rows each, R = P * L rows packed
+  /// back to back (R*n coefficients or R*m measurements), so one panel
+  /// kernel invocation sweeps them all. Rows live at *slot* positions: a
+  /// finished problem is compacted out by moving the last active
+  /// problem's rows into its slot (perm maps slot -> problem).
+  /// Per-problem state is indexed by problem, not slot.
   template <typename T>
   struct Buffers {
-    std::vector<T> yk;         ///< extrapolation point y_k (n)
-    std::vector<T> residual;   ///< A y_k - y (m)
-    std::vector<T> gradient;   ///< A^T residual (n)
-    std::vector<T> candidate;  ///< y_k - (1/L) grad (n)
-    std::vector<T> a_next;     ///< next iterate scratch (n)
-    std::vector<T> thresholds; ///< per-coefficient weighted thresholds (n)
-    /// Solve output; the workspace-taking fista()/ista() overloads write
-    /// here and return a reference, reusing solution capacity.
-    ShrinkageResult<T> result;
-    /// Caller-side scratch for code wrapping the solver (e.g. the decoder
-    /// reuses these for the scaled measurement vector and A^T y).
-    std::vector<T> aux_m;      ///< measurement-sized helper (m)
-    std::vector<T> aux_n;      ///< coefficient-sized helper (n)
-
-    /// Panel batch-solve scratch (fista_batch): the same roles as the
-    /// vectors above with B problems packed back to back (B*m or B*n
-    /// elements), so one panel kernel invocation sweeps the whole batch.
-    /// Rows live at *slot* positions — converged problems are compacted
-    /// out by swapping the last active row in, so the panels shrink as
-    /// rows freeze (batch_perm maps slot -> problem index).
-    std::vector<T> batch_yk;
-    std::vector<T> batch_residual;
-    std::vector<T> batch_gradient;
-    std::vector<T> batch_candidate;
-    std::vector<T> batch_a_next;
-    std::vector<T> batch_solution;
-    std::vector<T> batch_thresholds;      ///< per-slot threshold (B)
-    std::vector<T> batch_ys;              ///< compactable measurement rows (B*m)
-    std::vector<T> batch_rownorms;        ///< per-slot dot_batch output (B)
-    std::vector<std::size_t> batch_perm;  ///< slot -> problem index (B)
-    std::vector<double> batch_change_sq;  ///< per-slot iterate change (B)
-    std::vector<double> batch_norm_sq;    ///< per-slot iterate norm (B)
-    /// Per-slot momentum scalars t_k (B). Shared across the batch when
-    /// adaptive restart is off (the sequence is data-independent), but a
-    /// restart resets one row's momentum without touching its neighbours,
-    /// so each row carries its own.
-    std::vector<double> batch_tk;
-    /// Per-slot consecutive support-stable iteration counters (B), for
-    /// the support-aware tolerance relaxation.
-    std::vector<std::size_t> batch_support_stable;
-    /// Per-problem outputs of fista_batch; reused across calls of the
-    /// same batch shape, so steady-state batched decode is allocation-free.
-    std::vector<ShrinkageResult<T>> batch_results;
-    /// Caller-side batch scratch (the decoder's scaled measurement rows,
-    /// per-problem lambdas and replicated warm-start seed rows).
-    std::vector<T> batch_y;
-    std::vector<double> batch_lambdas;
-    std::vector<double> batch_warm;
+    std::vector<T> yk;         ///< extrapolation points y_k (R*n)
+    std::vector<T> a_k;        ///< current iterates (R*n)
+    std::vector<T> a_next;     ///< next iterates (R*n)
+    std::vector<T> candidate;  ///< y_k - (1/L) grad (R*n)
+    std::vector<T> gradient;   ///< A^T residual (R*n)
+    std::vector<T> residual;   ///< A y_k - y (R*m)
+    std::vector<T> ys;         ///< compactable measurement rows (R*m)
+    std::vector<T> rownorms;   ///< per-slot ||residual||^2 (R)
+    std::vector<T> thresholds;           ///< lambda_p / L (P)
+    std::vector<T> weighted_thresholds;  ///< w_i * lambda_p / L (P*n)
+    std::vector<double> tk;              ///< momentum scalars t_k (P)
+    /// Consecutive support-stable iteration counters (P), for the
+    /// support-aware tolerance relaxation.
+    std::vector<std::size_t> support_stable;
+    std::vector<std::size_t> perm;  ///< slot -> problem index (P)
+    /// Solve outputs, one per row; the workspace-taking solvers write
+    /// here and return a reference or span, reusing solution capacity.
+    std::vector<ShrinkageResult<T>> results;
+    /// Caller-side scratch for code wrapping the solver (the decoder's
+    /// scaled measurement rows, its A^T y row, per-problem lambdas and
+    /// replicated warm-start seed rows).
+    std::vector<T> aux_y;             ///< (R*m)
+    std::vector<T> aux_n;             ///< (n)
+    std::vector<double> aux_lambdas;  ///< (P)
+    std::vector<double> aux_warm;     ///< (R*n)
   };
 
   template <typename T>

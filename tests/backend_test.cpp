@@ -857,13 +857,13 @@ TEST(BackendGoldens, CountingSimd4ReproducesSeedOpCounts) {
   EXPECT_NEAR(w.residual_norm, 534.142479, 1e-3);
 }
 
-// The weighted-l1 decode (PriorPolicy::weighted_l1) routes every
-// iteration's prox through soft_threshold_weighted instead of the
-// uniform kernel, which prices differently (per-coefficient threshold
-// loads, a different ALU mix per schedule). Its op mix is pinned the
-// same way as the uniform goldens: if these fail, fix the weighted
-// kernel's charging, not the numbers. (No warm start here, so the
-// workload stays one deterministic cold solve.)
+// The weighted-l1 decode (PriorPolicy::weighted_l1) runs every
+// iteration's prox as the solver's hand-charged weighted soft-threshold
+// loop instead of the uniform soft_threshold kernel, which prices
+// differently (per-coefficient threshold loads, a different ALU mix per
+// schedule). Its op mix is pinned the same way as the uniform goldens:
+// if these fail, fix the weighted prox's charging, not the numbers. (No
+// warm start here, so the workload stays one deterministic cold solve.)
 template <typename T>
 core::DecodedWindow<T> golden_weighted_decode(const Backend& backend,
                                               OpCounts* counts) {

@@ -1170,6 +1170,30 @@ TEST(GroupPriorInvalidation, SingleLeadCorruptionRejectsGroupAndKeepsPrior) {
   EXPECT_EQ(y_flat.size(), 3u * config.cs.measurements);
 }
 
+TEST(GroupPriorInvalidation, WeightedGroupSeedsEachLeadFromItsOwnPrior) {
+  // Weighted l1 has no l2,1 coupling, so a weighted group solves its
+  // leads as uncoupled rows — but the prior is still the group's: it
+  // survives the decode whole, and each lead seeds from its own row of
+  // it (not from a neighbouring lead's fresh solution), so repeating the
+  // group makes every lead's solve cheaper.
+  const auto book = default_difference_codebook();
+  auto config = tiny_group_config(3);
+  config.prior.weighted_l1 = true;
+  Encoder encoder(config.cs, book);
+  Decoder decoder(config, book);
+  const auto xs = tiny_group_window(3);
+  const auto first = decoder.decode_group<float>(encoder.encode_group(xs));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(decoder.has_warm_prior<float>());
+  const auto repeat = decoder.decode_group<float>(encoder.encode_group(xs));
+  ASSERT_TRUE(repeat.has_value());
+  EXPECT_TRUE(decoder.has_warm_prior<float>());
+  for (std::size_t l = 0; l < 3; ++l) {
+    EXPECT_LT((*repeat)[l].iterations, (*first)[l].iterations)
+        << "lead " << l;
+  }
+}
+
 TEST(GroupPriorInvalidation, WarmGroupDecodeMatchesColdFixedPoint) {
   // The group prior must trade iterations, never the fixed point: warm
   // and cold joint decodes of the same group land on the same samples.

@@ -395,14 +395,14 @@ TEST(FistaTest, WorkspaceOverloadMatchesByValueAndReusesBuffers) {
   const double* gradient = buffers.gradient.data();
   const double* candidate = buffers.candidate.data();
   const double* a_next = buffers.a_next.data();
-  const double* solution = buffers.result.solution.data();
+  const double* solution = buffers.results[0].solution.data();
   fista<double>(op, y, options, workspace);
   EXPECT_EQ(buffers.yk.data(), yk);
   EXPECT_EQ(buffers.residual.data(), residual);
   EXPECT_EQ(buffers.gradient.data(), gradient);
   EXPECT_EQ(buffers.candidate.data(), candidate);
   EXPECT_EQ(buffers.a_next.data(), a_next);
-  EXPECT_EQ(buffers.result.solution.data(), solution);
+  EXPECT_EQ(buffers.results[0].solution.data(), solution);
 }
 
 TEST(KernelOpMixTest, CopyIsPureMemoryTraffic) {
@@ -561,7 +561,7 @@ TEST(FistaPrior, SupportToleranceStopsEarlyOnceSupportLocksIn) {
   }
 }
 
-// -------------------------------------------------------- fista_batch --
+// ----------------------------------------------------- panel of rows --
 
 // Packs `batch` distinct compressed-sensing problems that share one
 // operator, with per-problem measurement energy spread so the rows
@@ -601,8 +601,8 @@ BatchProblem make_batch_problem(std::size_t batch, std::uint64_t seed) {
 void expect_batch_matches_sequential(const BatchProblem& p,
                                      ShrinkageOptions options) {
   SolverWorkspace batch_ws;
-  const auto batched = fista_batch<float>(p.op, p.y_flat, p.lambdas,
-                                          options, batch_ws);
+  const auto batched =
+      fista_panel<float>(p.op, p.y_flat, p.lambdas, 1, options, batch_ws);
   ASSERT_EQ(batched.size(), p.batch);
   const std::span<const double> warm_all = options.warm_start;
   for (std::size_t b = 0; b < p.batch; ++b) {
@@ -622,13 +622,24 @@ void expect_batch_matches_sequential(const BatchProblem& p,
       ASSERT_EQ(batched[b].solution[i], sequential.solution[i])
           << "coefficient " << i;  // bitwise
     }
+    EXPECT_EQ(batched[b].objective_trace, sequential.objective_trace);
+    EXPECT_EQ(batched[b].final_residual_norm, sequential.final_residual_norm);
+    EXPECT_EQ(batched[b].final_objective, sequential.final_objective);
   }
+}
+
+// Approximation-band-style weights: the first eighth of the coefficients
+// penalised ten times less, as PriorPolicy::weighted_l1 does.
+std::vector<double> approx_band_weights(std::size_t n) {
+  std::vector<double> weights(n, 1.0);
+  std::fill_n(weights.begin(), n / 8, 0.1);
+  return weights;
 }
 
 TEST(FistaBatch, AdaptiveRestartMatchesSequentialBitwise) {
   // The restart decision is per-row state (each row's own momentum
   // scalar and alignment test), so restarting rows must not perturb
-  // their neighbours — previously fista_batch rejected the option.
+  // their neighbours.
   const auto p = make_batch_problem(4, 40);
   ShrinkageOptions options;
   options.max_iterations = 400;
@@ -664,6 +675,49 @@ TEST(FistaBatch, WarmPriorsMatchSequentialBitwise) {
   expect_batch_matches_sequential(p, options);
 }
 
+TEST(FistaBatch, WeightedL1MatchesSequentialBitwise) {
+  // Per-coefficient weights ride the panel: each row runs the weighted
+  // prox with its own lambda-scaled thresholds.
+  const auto p = make_batch_problem(4, 56);
+  ShrinkageOptions options;
+  options.max_iterations = 400;
+  options.tolerance = 1e-7;
+  options.lipschitz = 16.0;
+  options.adaptive_restart = true;
+  options.weights = approx_band_weights(p.n);
+  expect_batch_matches_sequential(p, options);
+}
+
+TEST(FistaBatch, SigmaStoppingMatchesSequentialBitwise) {
+  // The eq-2 residual stop is per row: a row that reaches the sigma ball
+  // freezes at that iteration while its neighbours run on.
+  const auto p = make_batch_problem(4, 58);
+  ShrinkageOptions options;
+  options.max_iterations = 400;
+  options.tolerance = 1e-12;  // sigma, not the iterate change, stops rows
+  options.lipschitz = 16.0;
+  options.sigma = 0.05;
+  expect_batch_matches_sequential(p, options);
+  SolverWorkspace ws;
+  for (const auto& row :
+       fista_panel<float>(p.op, p.y_flat, p.lambdas, 1, options, ws)) {
+    EXPECT_TRUE(row.converged);
+    EXPECT_LE(row.final_residual_norm, *options.sigma);
+  }
+}
+
+TEST(FistaBatch, ObjectiveRecordingMatchesSequentialBitwise) {
+  // Each row records its own objective trace, up to its own stop.
+  const auto p = make_batch_problem(4, 60);
+  ShrinkageOptions options;
+  options.max_iterations = 400;
+  options.tolerance = 1e-7;
+  options.lipschitz = 16.0;
+  options.record_objective = true;
+  options.weights = approx_band_weights(p.n);
+  expect_batch_matches_sequential(p, options);
+}
+
 TEST(FistaBatch, WarmPriorRejectsWrongSize) {
   const auto p = make_batch_problem(2, 46);
   ShrinkageOptions options;
@@ -671,52 +725,59 @@ TEST(FistaBatch, WarmPriorRejectsWrongSize) {
   std::vector<double> prior(p.n, 0.0);  // one row's worth, need batch * n
   options.warm_start = prior;
   SolverWorkspace ws;
-  EXPECT_THROW(fista_batch<float>(p.op, p.y_flat, p.lambdas, options, ws),
-               Error);
+  EXPECT_THROW(
+      fista_panel<float>(p.op, p.y_flat, p.lambdas, 1, options, ws), Error);
 }
 
 TEST(FistaBatch, FrozenRowsStopBeingCharged) {
   // Rows converge at different iteration counts; a frozen row must drop
   // out of the sweep entirely, so the batch's total op mix equals the
   // sum of the per-row sequential solves — not the lock-step rectangle
-  // batch * slowest_row the old pricing charged.
+  // batch * slowest_row the old pricing charged. The weighted prox is a
+  // hand-charged loop rather than a backend kernel, so a weighted batch
+  // must price the same way.
   const auto p = make_batch_problem(4, 48);
-  ShrinkageOptions options;
-  options.max_iterations = 4000;
-  options.tolerance = 1e-4;
-  options.lipschitz = 16.0;
-  options.adaptive_restart = true;
-  options.backend = &linalg::counting_scalar_backend();
+  ShrinkageOptions uniform;
+  uniform.max_iterations = 4000;
+  uniform.tolerance = 1e-4;
+  uniform.lipschitz = 16.0;
+  uniform.adaptive_restart = true;
+  uniform.backend = &linalg::counting_scalar_backend();
+  ShrinkageOptions weighted = uniform;
+  weighted.weights = approx_band_weights(p.n);
 
-  linalg::OpCounts sequential_total;
-  std::vector<std::size_t> iterations(p.batch);
-  {
-    linalg::OpCounterScope scope;
-    for (std::size_t b = 0; b < p.batch; ++b) {
-      ShrinkageOptions row = options;
-      row.lambda = p.lambdas[b];
-      iterations[b] = fista<float>(
-          p.op, std::span<const float>(p.y_flat.data() + b * p.m, p.m),
-          row).iterations;
+  for (const ShrinkageOptions& options : {uniform, weighted}) {
+    SCOPED_TRACE(options.weights.empty() ? "uniform" : "weighted");
+    linalg::OpCounts sequential_total;
+    std::vector<std::size_t> iterations(p.batch);
+    {
+      linalg::OpCounterScope scope;
+      for (std::size_t b = 0; b < p.batch; ++b) {
+        ShrinkageOptions row = options;
+        row.lambda = p.lambdas[b];
+        iterations[b] = fista<float>(
+            p.op, std::span<const float>(p.y_flat.data() + b * p.m, p.m),
+            row).iterations;
+      }
+      sequential_total = scope.counts();
     }
-    sequential_total = scope.counts();
-  }
-  // The frozen-row claim is only interesting if the rows actually stop
-  // at different iterations.
-  EXPECT_NE(*std::min_element(iterations.begin(), iterations.end()),
-            *std::max_element(iterations.begin(), iterations.end()));
+    // The frozen-row claim is only interesting if the rows actually stop
+    // at different iterations.
+    EXPECT_NE(*std::min_element(iterations.begin(), iterations.end()),
+              *std::max_element(iterations.begin(), iterations.end()));
 
-  SolverWorkspace ws;
-  linalg::OpCounterScope scope;
-  fista_batch<float>(p.op, p.y_flat, p.lambdas, options, ws);
-  const auto& batch_counts = scope.counts();
-  EXPECT_EQ(batch_counts.scalar_mac, sequential_total.scalar_mac);
-  EXPECT_EQ(batch_counts.scalar_op, sequential_total.scalar_op);
-  EXPECT_EQ(batch_counts.loads, sequential_total.loads);
-  EXPECT_EQ(batch_counts.stores, sequential_total.stores);
+    SolverWorkspace ws;
+    linalg::OpCounterScope scope;
+    fista_panel<float>(p.op, p.y_flat, p.lambdas, 1, options, ws);
+    const auto& batch_counts = scope.counts();
+    EXPECT_EQ(batch_counts.scalar_mac, sequential_total.scalar_mac);
+    EXPECT_EQ(batch_counts.scalar_op, sequential_total.scalar_op);
+    EXPECT_EQ(batch_counts.loads, sequential_total.loads);
+    EXPECT_EQ(batch_counts.stores, sequential_total.stores);
+  }
 }
 
-// -------------------------------------------------------- fista_group --
+// ---------------------------------------------------- panel of groups --
 
 // leads == 1 is the wire-compatibility contract: a lead group of one
 // must be THE sequential solve, bitwise — same iterates, same restart
@@ -732,8 +793,9 @@ TEST(FistaGroup, LeadsOneMatchesSequentialBitwise) {
   options.lambda = p.lambdas[0];
 
   SolverWorkspace ws;
-  const auto group = fista_group<float>(
-      p.op, std::span<const float>(p.y_flat), 1, options, ws);
+  const auto group = fista_panel<float>(
+      p.op, std::span<const float>(p.y_flat),
+      std::span<const double>(&options.lambda, 1), 1, options, ws);
   ASSERT_EQ(group.size(), 1u);
   const auto sequential =
       fista<float>(p.op, std::span<const float>(p.y_flat), options);
@@ -765,8 +827,9 @@ TEST(FistaGroup, LeadsOneWarmStartMatchesSequentialBitwise) {
   options.warm_start = prior;
 
   SolverWorkspace ws;
-  const auto group = fista_group<float>(
-      p.op, std::span<const float>(p.y_flat), 1, options, ws);
+  const auto group = fista_panel<float>(
+      p.op, std::span<const float>(p.y_flat),
+      std::span<const double>(&options.lambda, 1), 1, options, ws);
   ASSERT_EQ(group.size(), 1u);
   const auto sequential =
       fista<float>(p.op, std::span<const float>(p.y_flat), options);
@@ -809,7 +872,8 @@ TEST(FistaGroup, RecoversSharedSupportGroupJointly) {
   options.lambda = 1e-3;
   SolverWorkspace ws;
   const auto results =
-      fista_group<float>(op, std::span<const float>(y_flat), leads,
+      fista_panel<float>(op, std::span<const float>(y_flat),
+                         std::span<const double>(&options.lambda, 1), leads,
                          options, ws);
   ASSERT_EQ(results.size(), leads);
   for (std::size_t l = 0; l < leads; ++l) {
@@ -824,6 +888,45 @@ TEST(FistaGroup, RecoversSharedSupportGroupJointly) {
   }
 }
 
+// Several lead groups share one panel the way batched windows do: each
+// group keeps its own momentum and stop, so it lands bitwise where it
+// would solved alone.
+TEST(FistaGroup, GroupsInOnePanelMatchEachGroupAlone) {
+  const auto p = make_batch_problem(4, 64);  // two groups of two leads
+  constexpr std::size_t kLeads = 2;
+  ShrinkageOptions options;
+  options.max_iterations = 4000;
+  options.tolerance = 1e-5;
+  options.lipschitz = 16.0;
+  options.adaptive_restart = true;
+  const std::vector<double> lambdas = {1e-3, 4e-3};
+
+  SolverWorkspace panel_ws;
+  const auto panel = fista_panel<float>(p.op, p.y_flat, lambdas, kLeads,
+                                        options, panel_ws);
+  ASSERT_EQ(panel.size(), p.batch);
+  for (std::size_t g = 0; g < lambdas.size(); ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    SolverWorkspace ws;
+    const auto alone = fista_panel<float>(
+        p.op,
+        std::span<const float>(p.y_flat.data() + g * kLeads * p.m,
+                               kLeads * p.m),
+        std::span<const double>(&lambdas[g], 1), kLeads, options, ws);
+    for (std::size_t l = 0; l < kLeads; ++l) {
+      const auto& row = panel[g * kLeads + l];
+      EXPECT_EQ(row.iterations, alone[l].iterations);
+      EXPECT_EQ(row.converged, alone[l].converged);
+      ASSERT_EQ(row.solution, alone[l].solution);  // bitwise
+    }
+  }
+  // The groups must stop at different iterations, or no group froze
+  // while its neighbour ran on.
+  EXPECT_TRUE(panel[0].converged);
+  EXPECT_TRUE(panel[kLeads].converged);
+  EXPECT_NE(panel[0].iterations, panel[kLeads].iterations);
+}
+
 TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
   const auto op = gaussian_op<float>(8, 16, 62);
   std::vector<float> y(16, 0.5f);  // leads 2 x m 8
@@ -832,8 +935,9 @@ TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
     ShrinkageOptions options;
     options.lipschitz = 16.0;
     std::vector<float> short_y(12, 0.5f);  // not leads * m
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(short_y), 2,
-                                    options, ws),
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(short_y),
+                                    std::span<const double>(&options.lambda, 1),
+                                    2, options, ws),
                  Error);
   }
   {
@@ -841,16 +945,18 @@ TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
     options.lipschitz = 16.0;
     std::vector<double> weights(16, 1.0);
     options.weights = weights;
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(y), 2,
-                                    options, ws),
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(y),
+                                    std::span<const double>(&options.lambda, 1),
+                                    2, options, ws),
                  Error);
   }
   {
     ShrinkageOptions options;
     options.lipschitz = 16.0;
     options.sigma = 1.0;
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(y), 2,
-                                    options, ws),
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(y),
+                                    std::span<const double>(&options.lambda, 1),
+                                    2, options, ws),
                  Error);
   }
   {
@@ -858,8 +964,9 @@ TEST(FistaGroup, RejectsUnsupportedOptionsAndBadSizes) {
     options.lipschitz = 16.0;
     std::vector<double> prior(16, 0.0);  // need leads * n = 32
     options.warm_start = prior;
-    EXPECT_THROW(fista_group<float>(op, std::span<const float>(y), 2,
-                                    options, ws),
+    EXPECT_THROW(fista_panel<float>(op, std::span<const float>(y),
+                                    std::span<const double>(&options.lambda, 1),
+                                    2, options, ws),
                  Error);
   }
 }

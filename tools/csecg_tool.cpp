@@ -86,8 +86,6 @@
 // registry as Prometheus text exposition. `metrics --trace dump.jsonl
 // --prom out.prom` re-renders a JSONL dump the same way offline.
 
-#include <execinfo.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -117,6 +115,7 @@
 #include "csecg/linalg/backend.hpp"
 #include "csecg/obs/export.hpp"
 #include "csecg/obs/obs.hpp"
+#include "csecg/util/alloc_probe.hpp"
 #include "csecg/wbsn/fleet.hpp"
 #include "csecg/wbsn/gateway.hpp"
 #include "csecg/wbsn/link.hpp"
@@ -127,77 +126,9 @@
 
 namespace {
 
-std::atomic<bool> g_count_allocations{false};
-std::atomic<std::size_t> g_allocations{0};
-
-// Set CSECG_ALLOC_TRAP=1 to abort on the first counted allocation: a
-// backtrace then names the offender directly.
-bool trap_on_allocation() {
-  static const bool trap = [] {
-    const char* value = std::getenv("CSECG_ALLOC_TRAP");
-    return value != nullptr && value[0] == '1';
-  }();
-  return trap;
-}
-
-void note_allocation() {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (trap_on_allocation()) {
-      void* frames[32];
-      const int depth = backtrace(frames, 32);
-      backtrace_symbols_fd(frames, depth, 2);
-      std::abort();
-    }
-  }
-}
-
-}  // namespace
-
-// Counting hooks for every replaceable allocation path the toolchain may
-// route through — the `gateway --soak` steady-state gate. Deallocation
-// stays free-running: only allocations inside the measured phase matter.
-void* operator new(std::size_t size) {
-  note_allocation();
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  note_allocation();
-  if (void* p = std::aligned_alloc(
-          static_cast<std::size_t>(align),
-          (size + static_cast<std::size_t>(align) - 1) &
-              ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-namespace {
-
 using namespace csecg;
+using util::g_allocations;
+using util::g_count_allocations;
 
 using Args = std::map<std::string, std::string>;
 
