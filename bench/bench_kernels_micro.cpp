@@ -108,8 +108,8 @@ void register_kernels() {
     for (const std::size_t k : {std::size_t{1}, std::size_t{2},
                                 std::size_t{4}, std::size_t{8},
                                 std::size_t{16}}) {
-      const std::string batch_tag =
-          "/" + std::to_string(k) + "x512" + suffix;
+      std::string batch_tag = "/";
+      batch_tag += std::to_string(k) + "x512" + suffix;
       benchmark::RegisterBenchmark(
           ("axpy_batch" + batch_tag).c_str(),
           [be, k](benchmark::State& state) {

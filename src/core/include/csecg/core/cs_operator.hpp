@@ -33,10 +33,11 @@ class CsOperator final : public linalg::LinearOperator<T> {
   void apply_adjoint(std::span<const T> r, std::span<T> alpha) const override;
 
   /// Panel forward model: each leg (inverse DWT, sparse projection) runs
-  /// once over the whole panel, so Phi's index table and Psi's filter
-  /// levels are traversed once per batch instead of once per row. Bitwise
-  /// identical per row to apply()/apply_adjoint(); the sparse charge is
-  /// batch x the per-row mix. A panel of one runs the single-row path.
+  /// once over the whole panel, so Phi's index table is traversed once
+  /// per lane group of rows; the wavelet leg transforms row by row.
+  /// Bitwise identical per row to apply()/apply_adjoint(); the sparse
+  /// charge is batch x the per-row mix. A panel of one runs the
+  /// single-row path.
   void apply_batch(std::span<const T> alpha_flat, std::span<T> y_flat,
                    std::size_t batch) const override;
   void apply_adjoint_batch(std::span<const T> r_flat, std::span<T> alpha_flat,

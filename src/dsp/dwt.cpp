@@ -1,6 +1,6 @@
 #include "csecg/dsp/dwt.hpp"
 
-#include <type_traits>
+#include <algorithm>
 
 #include "csecg/util/error.hpp"
 
@@ -8,14 +8,26 @@ namespace csecg::dsp {
 
 namespace {
 
-/// Fills ext (n + taps - 1 elements) with the periodic extension of s.
+/// Fills e[0, size) with the periodic extension of s[0, n): one copy of
+/// the level, then a wrap that reads back what it already wrote, so a
+/// tail longer than n (taps - 1 > n on the coarse levels) repeats too.
 template <typename T>
-void periodic_extend(std::span<const T> s, std::size_t taps,
-                     std::vector<T>& ext) {
-  const std::size_t n = s.size();
-  ext.resize(n + taps - 1);
-  for (std::size_t i = 0; i < ext.size(); ++i) {
-    ext[i] = s[i % n];
+void periodic_extend(const T* s, std::size_t n, T* e, std::size_t size) {
+  std::copy(s, s + n, e);
+  for (std::size_t i = n; i < size; ++i) {
+    e[i] = e[i - n];
+  }
+}
+
+/// Folds the periodic tail e[n, size) back onto the head e[0, n) in place.
+/// Each head cell adds its wrapped images in ascending position order.
+template <typename T>
+void fold_tail(T* e, std::size_t n, std::size_t size) {
+  for (std::size_t base = n; base < size; base += n) {
+    const std::size_t count = std::min(n, size - base);
+    for (std::size_t r = 0; r < count; ++r) {
+      e[r] += e[base + r];
+    }
   }
 }
 
@@ -58,40 +70,27 @@ void WaveletTransform::forward(std::span<const T> x, std::span<T> coeffs,
   CSECG_CHECK(x.size() == length_ && coeffs.size() == length_,
               "forward: size mismatch");
   const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
+  const auto [h, g] = filters<T>();
 
   // Scratch is thread-local so the per-iteration FISTA applies never
-  // allocate in steady state (the buffers only grow; assign()/resize()
-  // reuse capacity once warmed up). Sized per thread, so concurrent
-  // transforms on a decode worker pool do not contend.
-  thread_local std::vector<T> approx;
+  // allocate in steady state (the buffer only grows; resize() reuses
+  // capacity once warmed up). Sized per thread, so concurrent transforms
+  // on a decode worker pool do not contend.
   thread_local std::vector<T> ext;
-  thread_local std::vector<T> next;
-  approx.assign(x.begin(), x.end());
+  // The first n coefficients always hold the n-point transform of the
+  // current approximation: its detail half goes to [half, n), and the
+  // coarser content keeps refining [0, half). Each level is extended
+  // before it is overwritten, so x may alias coeffs.
+  const T* approx = x.data();
   std::size_t n = length_;
   for (int level = 0; level < levels_; ++level) {
     const std::size_t half = n / 2;
-    periodic_extend(std::span<const T>(approx.data(), n), taps, ext);
-    next.resize(half);
-    // The first n coefficients always hold the n-point transform of the
-    // current approximation: its detail half goes to [half, n), and the
-    // coarser content keeps refining [0, half).
-    T* detail_out = coeffs.data() + half;
-    backend.dual_band_analysis(ext.data(), h, g, next.data(), detail_out,
-                               half, taps);
-    approx.swap(next);
+    ext.resize(n + taps - 1);
+    periodic_extend(approx, n, ext.data(), ext.size());
+    backend.dual_band_analysis(ext.data(), h, g, coeffs.data(),
+                               coeffs.data() + half, half, taps);
+    approx = coeffs.data();
     n = half;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    coeffs[i] = approx[i];
   }
 }
 
@@ -101,42 +100,27 @@ void WaveletTransform::inverse(std::span<const T> coeffs, std::span<T> x,
   CSECG_CHECK(coeffs.size() == length_ && x.size() == length_,
               "inverse: size mismatch");
   const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
+  const auto [h, g] = filters<T>();
 
-  const std::size_t coarsest = length_ >> levels_;
   // Thread-local for the same steady-state allocation-free reason as in
-  // forward(); see the note there.
+  // forward(). Each level accumulates into x_ext, folds its periodic tail
+  // in place and becomes the next level's approximation (the first n
+  // cells of `approx`).
   thread_local std::vector<T> approx;
   thread_local std::vector<T> x_ext;
-  thread_local std::vector<T> next;
-  approx.assign(coeffs.begin(),
-                coeffs.begin() + static_cast<std::ptrdiff_t>(coarsest));
-  std::size_t half = coarsest;
+  const T* a = coeffs.data();
+  std::size_t half = length_ >> levels_;
   for (int level = 0; level < levels_; ++level) {
     const std::size_t n = 2 * half;
-    const T* detail = coeffs.data() + half;
     x_ext.assign(n + taps - 1, T{});
-    backend.dual_band_synthesis(approx.data(), detail, h, g, x_ext.data(),
+    backend.dual_band_synthesis(a, coeffs.data() + half, h, g, x_ext.data(),
                                 half, taps);
-    next.assign(x_ext.begin(), x_ext.begin() + static_cast<std::ptrdiff_t>(n));
-    // Fold the periodic tail back onto the head.
-    for (std::size_t i = n; i < x_ext.size(); ++i) {
-      next[i % n] += x_ext[i];
-    }
-    approx.swap(next);
+    fold_tail(x_ext.data(), n, x_ext.size());
+    approx.swap(x_ext);
+    a = approx.data();
     half = n;
   }
-  for (std::size_t i = 0; i < length_; ++i) {
-    x[i] = approx[i];
-  }
+  std::copy(a, a + length_, x.begin());
 }
 
 template <typename T>
@@ -145,51 +129,9 @@ void WaveletTransform::forward_batch(std::span<const T> x, std::span<T> coeffs,
                                      const linalg::Backend& backend) const {
   CSECG_CHECK(x.size() == batch * length_ && coeffs.size() == batch * length_,
               "forward_batch: size mismatch");
-  const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
-
-  // Panel scratch, thread-local for the same allocation-free steady state
-  // as forward(). approx holds batch rows at the current level's stride n;
-  // ext holds the batch's periodic extensions.
-  thread_local std::vector<T> approx;
-  thread_local std::vector<T> ext;
-  thread_local std::vector<T> next;
-  approx.assign(x.begin(), x.end());
-  std::size_t n = length_;
-  for (int level = 0; level < levels_; ++level) {
-    const std::size_t half = n / 2;
-    const std::size_t ext_stride = n + taps - 1;
-    ext.resize(batch * ext_stride);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const T* s = approx.data() + b * n;
-      T* e = ext.data() + b * ext_stride;
-      for (std::size_t i = 0; i < ext_stride; ++i) {
-        e[i] = s[i % n];
-      }
-    }
-    next.resize(batch * half);
-    // Row b's detail half lands at coeffs[b * length_ + half, b * length_
-    // + n): out_d strides at the window length while out_a is compact.
-    backend.dwt_analysis_batch(ext.data(), h, g, next.data(),
-                               coeffs.data() + half, batch, half, taps,
-                               ext_stride, half, length_);
-    approx.swap(next);
-    n = half;
-  }
   for (std::size_t b = 0; b < batch; ++b) {
-    const T* s = approx.data() + b * n;
-    T* c = coeffs.data() + b * length_;
-    for (std::size_t i = 0; i < n; ++i) {
-      c[i] = s[i];
-    }
+    forward(x.subspan(b * length_, length_),
+            coeffs.subspan(b * length_, length_), backend);
   }
 }
 
@@ -199,54 +141,9 @@ void WaveletTransform::inverse_batch(std::span<const T> coeffs,
                                      const linalg::Backend& backend) const {
   CSECG_CHECK(coeffs.size() == batch * length_ && x.size() == batch * length_,
               "inverse_batch: size mismatch");
-  const std::size_t taps = wavelet_.length();
-  const T* h;
-  const T* g;
-  if constexpr (std::is_same_v<T, float>) {
-    h = h_f_.data();
-    g = g_f_.data();
-  } else {
-    h = h_d_.data();
-    g = g_d_.data();
-  }
-
-  const std::size_t coarsest = length_ >> levels_;
-  thread_local std::vector<T> approx;
-  thread_local std::vector<T> x_ext;
-  thread_local std::vector<T> next;
-  approx.resize(batch * coarsest);
   for (std::size_t b = 0; b < batch; ++b) {
-    const T* c = coeffs.data() + b * length_;
-    T* a = approx.data() + b * coarsest;
-    for (std::size_t i = 0; i < coarsest; ++i) {
-      a[i] = c[i];
-    }
-  }
-  std::size_t half = coarsest;
-  for (int level = 0; level < levels_; ++level) {
-    const std::size_t n = 2 * half;
-    const std::size_t ext_stride = n + taps - 1;
-    x_ext.assign(batch * ext_stride, T{});
-    backend.dwt_synthesis_batch(approx.data(), coeffs.data() + half, h, g,
-                                x_ext.data(), batch, half, taps, half,
-                                length_, ext_stride);
-    next.resize(batch * n);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const T* e = x_ext.data() + b * ext_stride;
-      T* o = next.data() + b * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        o[i] = e[i];
-      }
-      // Fold the periodic tail back onto the head, as in inverse().
-      for (std::size_t i = n; i < ext_stride; ++i) {
-        o[i % n] += e[i];
-      }
-    }
-    approx.swap(next);
-    half = n;
-  }
-  for (std::size_t i = 0; i < batch * length_; ++i) {
-    x[i] = approx[i];
+    inverse(coeffs.subspan(b * length_, length_),
+            x.subspan(b * length_, length_), backend);
   }
 }
 

@@ -18,6 +18,8 @@
 
 #include <cstddef>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "csecg/dsp/wavelet.hpp"
@@ -59,11 +61,8 @@ class WaveletTransform {
       const linalg::Backend& backend = linalg::reference_backend()) const;
 
   /// Panel analysis: coeffs_row_b = Psi^T x_row_b over `batch` packed rows
-  /// (both spans batch * length()). Each filter-bank level runs as one
-  /// dwt_analysis_batch panel call, so the filter taps and the level's
-  /// loop structure are traversed once per panel instead of once per row.
-  /// Per-row arithmetic is identical to forward(), so results are
-  /// bitwise-equal to the sequential loop.
+  /// (both spans batch * length()). Runs forward() on each row in turn,
+  /// so results are bitwise-equal to the sequential loop.
   template <typename T>
   void forward_batch(
       std::span<const T> x, std::span<T> coeffs, std::size_t batch,
@@ -77,6 +76,16 @@ class WaveletTransform {
       const linalg::Backend& backend = linalg::reference_backend()) const;
 
  private:
+  /// The analysis (lowpass, highpass) pair in precision T.
+  template <typename T>
+  std::pair<const T*, const T*> filters() const {
+    if constexpr (std::is_same_v<T, float>) {
+      return {h_f_.data(), g_f_.data()};
+    } else {
+      return {h_d_.data(), g_d_.data()};
+    }
+  }
+
   Wavelet wavelet_;
   std::size_t length_;
   int levels_;

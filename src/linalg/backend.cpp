@@ -1,5 +1,6 @@
 #include "csecg/linalg/backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -636,33 +637,29 @@ struct Simd4Ops {
 // kNative: real width-agnostic SIMD for the host via GCC/Clang vector
 // extensions — 32-byte vectors (8 float / 4 double lanes). Unaligned
 // access goes through memcpy, which the compiler folds into vector
-// load/store instructions. The elementwise kernels and dot carry the
-// FISTA iteration cost and get explicit wide vectors; the gather-bound
-// filter nests use L-lane accumulator blocks the autovectoriser handles.
+// load/store instructions. The elementwise kernels and dot get explicit
+// wide vectors; dual_band_filter uses L-lane accumulator blocks the
+// autovectoriser handles. The wavelet filter bank (polyphase analysis,
+// gather synthesis) keeps several accumulators live across its tap loop,
+// and GCC holds a generic vector wider than the target's registers in
+// memory, so it runs 16-byte vectors, the baseline SSE2/NEON width.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-struct NativeVec;
-template <>
-struct NativeVec<float> {
-  typedef float V __attribute__((vector_size(32)));
-  static constexpr std::size_t kLanes = 8;
-};
-template <>
-struct NativeVec<double> {
-  typedef double V __attribute__((vector_size(32)));
-  static constexpr std::size_t kLanes = 4;
+template <typename T, std::size_t Bytes = 32>
+struct NativeVec {
+  typedef T V __attribute__((vector_size(Bytes)));
+  static constexpr std::size_t kLanes = Bytes / sizeof(T);
 };
 
-template <typename T>
-inline typename NativeVec<T>::V vload(const T* p) {
-  typename NativeVec<T>::V v;
+template <typename T, std::size_t Bytes = 32>
+inline typename NativeVec<T, Bytes>::V vload(const T* p) {
+  typename NativeVec<T, Bytes>::V v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
 
-template <typename T>
-inline void vstore(T* p, typename NativeVec<T>::V v) {
+template <typename T, std::size_t Bytes = 32>
+inline void vstore(T* p, typename NativeVec<T, Bytes>::V v) {
   __builtin_memcpy(p, &v, sizeof(v));
 }
 
@@ -852,122 +849,124 @@ struct NativeOps {
     }
   }
 
+  // Polyphase analysis: ext is split once into its even and odd phases,
+  // so tap j of a block of outputs starting at i is the unit-stride
+  // vector phase[j % 2][i + j / 2 ..]. A block of outputs spans kVectors
+  // vectors, enough independent accumulator chains to hide the add
+  // latency. Every lane sums from zero in ascending tap order, the
+  // reference order, so results are bitwise the reference kernel's.
   template <typename T>
   static void dual_band_analysis(const T* ext, const T* h0, const T* h1,
                                  T* out_a, T* out_d, std::size_t half_n,
                                  std::size_t taps) {
-    constexpr std::size_t L = NativeVec<T>::kLanes;
-    const std::size_t blocks = half_n / L;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * L;
-      T la[L] = {};
-      T ld[L] = {};
+    using V = typename NativeVec<T, 16>::V;
+    constexpr std::size_t W = NativeVec<T, 16>::kLanes;
+    constexpr std::size_t kVectors = 4;
+    constexpr std::size_t L = kVectors * W;
+    if (half_n < L) {
+      RefOps::dual_band_analysis(ext, h0, h1, out_a, out_d, half_n, taps);
+      return;
+    }
+    const std::size_t ext_len = 2 * half_n + taps - 1;
+    static thread_local std::vector<T> phases;
+    phases.resize(ext_len);
+    T* even = phases.data();
+    T* odd = even + (ext_len + 1) / 2;
+    for (std::size_t k = 0; 2 * k < ext_len; ++k) {
+      even[k] = ext[2 * k];
+    }
+    for (std::size_t k = 0; 2 * k + 1 < ext_len; ++k) {
+      odd[k] = ext[2 * k + 1];
+    }
+    std::size_t i = 0;
+    for (; i + L <= half_n; i += L) {
+      V a[kVectors] = {};
+      V d[kVectors] = {};
       for (std::size_t j = 0; j < taps; ++j) {
-        const T c0 = h0[j];
-        const T c1 = h1[j];
-        for (std::size_t lane = 0; lane < L; ++lane) {
-          const T s = ext[2 * (i + lane) + j];
-          la[lane] += s * c0;
-          ld[lane] += s * c1;
+        const T* s = (j % 2 == 0 ? even : odd) + i + j / 2;
+        for (std::size_t b = 0; b < kVectors; ++b) {
+          const V v = vload<T, 16>(s + b * W);
+          a[b] += v * h0[j];
+          d[b] += v * h1[j];
         }
       }
-      for (std::size_t lane = 0; lane < L; ++lane) {
-        out_a[i + lane] = la[lane];
-        out_d[i + lane] = ld[lane];
+      for (std::size_t b = 0; b < kVectors; ++b) {
+        vstore<T, 16>(out_a + i + b * W, a[b]);
+        vstore<T, 16>(out_d + i + b * W, d[b]);
       }
     }
-    for (std::size_t i = blocks * L; i < half_n; ++i) {
-      const T* s = ext + 2 * i;
-      T a{};
-      T d{};
-      for (std::size_t j = 0; j < taps; ++j) {
-        a += s[j] * h0[j];
-        d += s[j] * h1[j];
-      }
-      out_a[i] = a;
-      out_d[i] = d;
-    }
+    RefOps::dual_band_analysis(ext + 2 * i, h0, h1, out_a + i, out_d + i,
+                               half_n - i, taps);
   }
 
-  // Overlapping writes force the outer loop scalar (as in the NEON
-  // schedule); the tap loop is short (db4: 8), so leave it plain.
+  // Gather (polyphase) synthesis. The reference scatter adds
+  // a_i * f0[k - 2i] + d_i * f1[k - 2i] into cell k for ascending i; here
+  // each cell starts from its current x_ext value and adds the same terms
+  // in the same order, so the result is bitwise the scatter's for any
+  // initial x_ext. Even cells 2p take the even taps and odd cells 2p + 1
+  // the odd ones, both from approx/detail[p - m] at tap pair m, so a
+  // block of consecutive p is unit-stride vector work with m descending
+  // (i = p - m ascending). Cells whose sum is clipped by either end of
+  // approx/detail take the scalar gather; odd filter lengths and levels
+  // no longer than the filter, which are mostly such cells, take the
+  // scatter.
+  template <typename T>
+  static void synthesis_cell(const T* approx, const T* detail, const T* f0,
+                             const T* f1, T* x_ext, std::size_t half_n,
+                             std::size_t taps, std::size_t k) {
+    std::size_t i = k + 1 > taps ? (k + 2 - taps) / 2 : 0;
+    const std::size_t i_end = std::min(half_n, k / 2 + 1);
+    T acc = x_ext[k];
+    for (; i < i_end; ++i) {
+      const std::size_t j = k - 2 * i;
+      acc += approx[i] * f0[j] + detail[i] * f1[j];
+    }
+    x_ext[k] = acc;
+  }
+
   template <typename T>
   static void dual_band_synthesis(const T* approx, const T* detail,
                                   const T* f0, const T* f1, T* x_ext,
                                   std::size_t half_n, std::size_t taps) {
-    RefOps::dual_band_synthesis(approx, detail, f0, f1, x_ext, half_n, taps);
-  }
-
-  // Panel (lanes-across-rows) synthesis. Full groups of kPanelLanes batch
-  // rows are transposed into an interleaved scratch panel where sample
-  // position p of the group's rows sits contiguously. The single-row
-  // synthesis is serialised by its overlapping "+=" windows (consecutive
-  // outputs write the same x_ext cells); across batch rows the
-  // accumulations are independent, so interleaved they become contiguous
-  // 4-wide ops — a speedup that is structurally impossible row by row.
-  // Each lane replays one row's scalar schedule exactly (outputs
-  // ascending, taps in order, the a*f0 + d*f1 shape), so per-row results
-  // stay bitwise equal to the single-row kernel; a partial tail group
-  // runs row by row. Analysis has no such panel variant: its tap reads
-  // are already contiguous per output, and the single-row blocked kernel
-  // is the better schedule.
-  static constexpr std::size_t kPanelLanes = 4;
-
-  template <typename T>
-  static std::vector<T>& panel_scratch() {
-    static thread_local std::vector<T> scratch;
-    return scratch;
-  }
-
-  template <typename T>
-  static void dual_band_synthesis_batch(const T* approx, const T* detail,
-                                        const T* f0, const T* f1, T* x_ext,
-                                        std::size_t batch,
-                                        std::size_t half_n, std::size_t taps,
-                                        std::size_t a_stride,
-                                        std::size_t d_stride,
-                                        std::size_t ext_stride) {
-    constexpr std::size_t G = kPanelLanes;
-    // The scalar kernel touches x_ext[2*(half_n-1) + taps - 1] at most;
-    // cells past that keep whatever the caller left there.
-    const std::size_t ext_len = 2 * (half_n - 1) + taps;
-    std::vector<T>& panel = panel_scratch<T>();
-    std::size_t b0 = 0;
-    for (; b0 + G <= batch; b0 += G) {
-      panel.resize(ext_len * G);
-      for (std::size_t l = 0; l < G; ++l) {
-        const T* src = x_ext + (b0 + l) * ext_stride;
-        for (std::size_t i = 0; i < ext_len; ++i) {
-          panel[i * G + l] = src[i];
-        }
+    using V = typename NativeVec<T, 16>::V;
+    constexpr std::size_t W = NativeVec<T, 16>::kLanes;
+    if (taps < 2 || taps % 2 != 0 || half_n < taps) {
+      RefOps::dual_band_synthesis(approx, detail, f0, f1, x_ext, half_n,
+                                  taps);
+      return;
+    }
+    const std::size_t pairs = taps / 2;
+    // Interior blocks need p - (pairs - 1) >= 0 and p < half_n.
+    const std::size_t p_begin = pairs - 1;
+    std::size_t p = p_begin;
+    for (; p + W <= half_n; p += W) {
+      T* x = x_ext + 2 * p;
+      T ev[W] = {};
+      T od[W] = {};
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        ev[lane] = x[2 * lane];
+        od[lane] = x[2 * lane + 1];
       }
-      for (std::size_t i = 0; i < half_n; ++i) {
-        T a[G];
-        T d[G];
-        for (std::size_t l = 0; l < G; ++l) {
-          a[l] = approx[(b0 + l) * a_stride + i];
-          d[l] = detail[(b0 + l) * d_stride + i];
-        }
-        T* x = panel.data() + 2 * i * G;
-        for (std::size_t j = 0; j < taps; ++j) {
-          const T c0 = f0[j];
-          const T c1 = f1[j];
-          T* xj = x + j * G;
-          for (std::size_t l = 0; l < G; ++l) {
-            xj[l] += a[l] * c0 + d[l] * c1;
-          }
-        }
+      V xe = vload<T, 16>(ev);
+      V xo = vload<T, 16>(od);
+      for (std::size_t m = pairs; m-- > 0;) {
+        const V a = vload<T, 16>(approx + p - m);
+        const V d = vload<T, 16>(detail + p - m);
+        xe += a * f0[2 * m] + d * f1[2 * m];
+        xo += a * f0[2 * m + 1] + d * f1[2 * m + 1];
       }
-      for (std::size_t l = 0; l < G; ++l) {
-        T* dst = x_ext + (b0 + l) * ext_stride;
-        for (std::size_t i = 0; i < ext_len; ++i) {
-          dst[i] = panel[i * G + l];
-        }
+      vstore<T, 16>(ev, xe);
+      vstore<T, 16>(od, xo);
+      for (std::size_t lane = 0; lane < W; ++lane) {
+        x[2 * lane] = ev[lane];
+        x[2 * lane + 1] = od[lane];
       }
     }
-    for (; b0 < batch; ++b0) {
-      dual_band_synthesis(approx + b0 * a_stride, detail + b0 * d_stride,
-                          f0, f1, x_ext + b0 * ext_stride, half_n, taps);
+    for (std::size_t k = 0; k < 2 * p_begin; ++k) {
+      synthesis_cell(approx, detail, f0, f1, x_ext, half_n, taps, k);
+    }
+    for (std::size_t k = 2 * p; k < 2 * half_n + taps - 1; ++k) {
+      synthesis_cell(approx, detail, f0, f1, x_ext, half_n, taps, k);
     }
   }
 };
@@ -1096,9 +1095,8 @@ class OpsBackend final : public Backend {
   // boundaries instead of re-entering the kernel k times). Reductions and
   // the per-row-threshold shrink keep the row loop — per-row accumulation
   // order is part of the bitwise contract — but devirtualised onto the Ops
-  // statics. The filter-bank panels walk rows with independent strides so
-  // the wavelet layout needs no repacking; the taps stay hot across the
-  // whole panel.
+  // statics. The filter-bank panels keep Backend's row loop over the
+  // single-row kernels.
   void soft_threshold_batch(const float* u, const float* thresholds, float* y,
                             std::size_t batch, std::size_t n) const override {
     for (std::size_t b = 0; b < batch; ++b) {
@@ -1171,95 +1169,6 @@ class OpsBackend final : public Backend {
     for (std::size_t b = 0; b < batch; ++b) {
       out[b] = Ops::template norm1<double>(x + b * n, n);
     }
-  }
-  // The dwt panel kernels prefer an Ops-level lanes-across-rows variant
-  // when the schedule provides one (kNative does); everything else runs
-  // the single-row kernel per panel row, which is the contract's
-  // reference schedule.
-  template <typename T>
-  void dwt_analysis_batch_impl(const T* ext, const T* h0, const T* h1,
-                               T* out_a, T* out_d, std::size_t batch,
-                               std::size_t half_n, std::size_t taps,
-                               std::size_t ext_stride, std::size_t a_stride,
-                               std::size_t d_stride) const {
-    if constexpr (requires {
-                    Ops::template dual_band_analysis_batch<T>(
-                        ext, h0, h1, out_a, out_d, batch, half_n, taps,
-                        ext_stride, a_stride, d_stride);
-                  }) {
-      Ops::template dual_band_analysis_batch<T>(ext, h0, h1, out_a, out_d,
-                                                batch, half_n, taps,
-                                                ext_stride, a_stride,
-                                                d_stride);
-    } else {
-      for (std::size_t b = 0; b < batch; ++b) {
-        Ops::template dual_band_analysis<T>(ext + b * ext_stride, h0, h1,
-                                            out_a + b * a_stride,
-                                            out_d + b * d_stride, half_n,
-                                            taps);
-      }
-    }
-  }
-  template <typename T>
-  void dwt_synthesis_batch_impl(const T* approx, const T* detail,
-                                const T* f0, const T* f1, T* x_ext,
-                                std::size_t batch, std::size_t half_n,
-                                std::size_t taps, std::size_t a_stride,
-                                std::size_t d_stride,
-                                std::size_t ext_stride) const {
-    if constexpr (requires {
-                    Ops::template dual_band_synthesis_batch<T>(
-                        approx, detail, f0, f1, x_ext, batch, half_n, taps,
-                        a_stride, d_stride, ext_stride);
-                  }) {
-      Ops::template dual_band_synthesis_batch<T>(approx, detail, f0, f1,
-                                                 x_ext, batch, half_n, taps,
-                                                 a_stride, d_stride,
-                                                 ext_stride);
-    } else {
-      for (std::size_t b = 0; b < batch; ++b) {
-        Ops::template dual_band_synthesis<T>(
-            approx + b * a_stride, detail + b * d_stride, f0, f1,
-            x_ext + b * ext_stride, half_n, taps);
-      }
-    }
-  }
-  void dwt_analysis_batch(const float* ext, const float* h0, const float* h1,
-                          float* out_a, float* out_d, std::size_t batch,
-                          std::size_t half_n, std::size_t taps,
-                          std::size_t ext_stride, std::size_t a_stride,
-                          std::size_t d_stride) const override {
-    dwt_analysis_batch_impl<float>(ext, h0, h1, out_a, out_d, batch, half_n,
-                                   taps, ext_stride, a_stride, d_stride);
-  }
-  void dwt_analysis_batch(const double* ext, const double* h0,
-                          const double* h1, double* out_a, double* out_d,
-                          std::size_t batch, std::size_t half_n,
-                          std::size_t taps, std::size_t ext_stride,
-                          std::size_t a_stride,
-                          std::size_t d_stride) const override {
-    dwt_analysis_batch_impl<double>(ext, h0, h1, out_a, out_d, batch, half_n,
-                                    taps, ext_stride, a_stride, d_stride);
-  }
-  void dwt_synthesis_batch(const float* approx, const float* detail,
-                           const float* f0, const float* f1, float* x_ext,
-                           std::size_t batch, std::size_t half_n,
-                           std::size_t taps, std::size_t a_stride,
-                           std::size_t d_stride,
-                           std::size_t ext_stride) const override {
-    dwt_synthesis_batch_impl<float>(approx, detail, f0, f1, x_ext, batch,
-                                    half_n, taps, a_stride, d_stride,
-                                    ext_stride);
-  }
-  void dwt_synthesis_batch(const double* approx, const double* detail,
-                           const double* f0, const double* f1, double* x_ext,
-                           std::size_t batch, std::size_t half_n,
-                           std::size_t taps, std::size_t a_stride,
-                           std::size_t d_stride,
-                           std::size_t ext_stride) const override {
-    dwt_synthesis_batch_impl<double>(approx, detail, f0, f1, x_ext, batch,
-                                     half_n, taps, a_stride, d_stride,
-                                     ext_stride);
   }
 };
 

@@ -105,7 +105,10 @@ class Backend {
                                   std::size_t taps) const = 0;
   /// Two-band synthesis (inverse filter bank) accumulation:
   ///   x_ext[2i + j] += approx[i] * f0[j] + detail[i] * f1[j]
-  /// x_ext must be zero-initialised with 2 * half_n + taps - 1 elements.
+  /// over 2 * half_n + taps - 1 elements of x_ext. Every cell adds its
+  /// terms onto its current value in ascending i, so all schedules give
+  /// the reference's bits for any initial x_ext (the transform passes
+  /// zeros).
   virtual void dual_band_synthesis(const float* approx, const float* detail,
                                    const float* f0, const float* f1,
                                    float* x_ext, std::size_t half_n,
@@ -237,8 +240,8 @@ class Backend {
                                   std::size_t half_n, std::size_t taps,
                                   std::size_t ext_stride, std::size_t a_stride,
                                   std::size_t d_stride) const;
-  /// Panel form of dual_band_synthesis; x_ext rows must be
-  /// zero-initialised, same per-side strides as the analysis panel.
+  /// Panel form of dual_band_synthesis; x_ext rows accumulate as in the
+  /// single-row kernel, same per-side strides as the analysis panel.
   virtual void dwt_synthesis_batch(const float* approx, const float* detail,
                                    const float* f0, const float* f1,
                                    float* x_ext, std::size_t batch,

@@ -541,7 +541,8 @@ void render_slo_table(std::span<const SloRow> rows, std::ostream& os) {
                                static_cast<double>(row.offered);
     std::string queue = std::to_string(row.queue_high_water);
     if (row.queue_depth > 0) {
-      queue += "/" + std::to_string(row.queue_depth);
+      queue += '/';
+      queue += std::to_string(row.queue_depth);
     }
     table.add_row({row.label, std::to_string(row.offered),
                    std::to_string(row.decoded),

@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "csecg/core/decoder.hpp"
 #include "csecg/core/stream_profile.hpp"
+#include "csecg/dsp/dwt.hpp"
 #include "csecg/linalg/backend.hpp"
 #include "csecg/solvers/workspace.hpp"
 #include "csecg/util/rng.hpp"
@@ -205,6 +208,182 @@ TEST_P(BackendParityTest, DualBandKernelsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BackendParityTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16, 17,
                                            31, 64, 100, 255, 256, 257, 512));
+
+// ---------------------------------------------- filter-bank bit pinning --
+
+// Index of the first element whose bits differ (a.size() if none), so
+// -0 against +0 counts as a mismatch.
+template <typename T>
+std::size_t first_bit_mismatch(const std::vector<T>& a,
+                               const std::vector<T>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(T)) != 0) {
+      return i;
+    }
+  }
+  return a.size();
+}
+
+// Every schedule of the two filter-bank kernels gives the reference's
+// bits: analysis sums each output from zero in ascending tap order, and
+// synthesis adds each cell's terms onto its current value in ascending
+// output order, whatever that value is. Odd lengths and levels shorter
+// than a vector block cover the wide kernels' scalar edges.
+template <typename T>
+void check_dual_band_bits() {
+  const Backend& ref = reference_backend();
+  for (const std::size_t taps : {2, 4, 7, 8, 12, 20}) {
+    for (const std::size_t half_n : {1, 2, 3, 5, 8, 9, 17, 33, 256}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "taps=" << taps << " half_n=" << half_n);
+      util::Rng rng(5000 + 31 * taps + half_n);
+      const std::size_t ext_n = 2 * half_n + taps - 1;
+      auto draw = [&rng](std::size_t n) {
+        std::vector<T> v(n);
+        for (auto& x : v) {
+          x = static_cast<T>(rng.gaussian());
+        }
+        return v;
+      };
+      const auto ext = draw(ext_n);
+      const auto h0 = draw(taps);
+      const auto h1 = draw(taps);
+      const auto approx = draw(half_n);
+      const auto detail = draw(half_n);
+      const auto x_init = draw(ext_n);
+
+      std::vector<T> a_ref(half_n), d_ref(half_n);
+      ref.dual_band_analysis(ext.data(), h0.data(), h1.data(), a_ref.data(),
+                             d_ref.data(), half_n, taps);
+      std::vector<T> syn_ref(x_init);
+      ref.dual_band_synthesis(approx.data(), detail.data(), h0.data(),
+                              h1.data(), syn_ref.data(), half_n, taps);
+      for (const Backend* be : all_backends()) {
+        SCOPED_TRACE(be->name());
+        std::vector<T> a(half_n), d(half_n);
+        be->dual_band_analysis(ext.data(), h0.data(), h1.data(), a.data(),
+                               d.data(), half_n, taps);
+        EXPECT_EQ(first_bit_mismatch(a, a_ref), half_n) << "analysis a";
+        EXPECT_EQ(first_bit_mismatch(d, d_ref), half_n) << "analysis d";
+        std::vector<T> syn(x_init);
+        be->dual_band_synthesis(approx.data(), detail.data(), h0.data(),
+                                h1.data(), syn.data(), half_n, taps);
+        EXPECT_EQ(first_bit_mismatch(syn, syn_ref), ext_n) << "synthesis";
+      }
+    }
+  }
+}
+
+TEST(BackendFilterBankBits, DualBandKernelsAreBitwiseReferenceFloat) {
+  check_dual_band_bits<float>();
+}
+
+TEST(BackendFilterBankBits, DualBandKernelsAreBitwiseReferenceDouble) {
+  check_dual_band_bits<double>();
+}
+
+// One row of the transform written the plain way over the reference
+// kernels: a modulo periodic extension, a zero-filled level buffer and a
+// modulo tail fold in ascending position order. The transform's glue must
+// keep exactly this summation order.
+template <typename T>
+void plain_transform(const dsp::Wavelet& wavelet, int levels,
+                     const T* in, std::size_t n, T* fwd, T* inv) {
+  const Backend& ref = reference_backend();
+  const auto h_d = wavelet.analysis_lowpass();
+  const auto g_d = wavelet.analysis_highpass();
+  const std::vector<T> h(h_d.begin(), h_d.end());
+  const std::vector<T> g(g_d.begin(), g_d.end());
+  const std::size_t taps = h.size();
+
+  std::vector<T> approx(in, in + n);
+  std::size_t len = n;
+  for (int level = 0; level < levels; ++level) {
+    const std::size_t half = len / 2;
+    std::vector<T> ext(len + taps - 1);
+    for (std::size_t i = 0; i < ext.size(); ++i) {
+      ext[i] = approx[i % len];
+    }
+    std::vector<T> next(half);
+    ref.dual_band_analysis(ext.data(), h.data(), g.data(), next.data(),
+                           fwd + half, half, taps);
+    approx = next;
+    len = half;
+  }
+  std::copy(approx.begin(), approx.end(), fwd);
+
+  approx.assign(in, in + (n >> levels));
+  for (std::size_t half = n >> levels; half < n; half *= 2) {
+    const std::size_t len2 = 2 * half;
+    std::vector<T> x_ext(len2 + taps - 1, T{});
+    ref.dual_band_synthesis(approx.data(), in + half, h.data(), g.data(),
+                            x_ext.data(), half, taps);
+    std::vector<T> next(x_ext.begin(), x_ext.begin() + len2);
+    for (std::size_t i = len2; i < x_ext.size(); ++i) {
+      next[i % len2] += x_ext[i];
+    }
+    approx = next;
+  }
+  std::copy(approx.begin(), approx.end(), inv);
+}
+
+// The whole transform, single-row and panel, gives the plain definition's
+// bits on every backend. db10 32/4 has levels where taps - 1 > n, so the
+// periodic extension and the tail fold wrap more than once.
+template <typename T>
+void check_wavelet_transform_bits() {
+  struct Case {
+    const char* wavelet;
+    std::size_t length;
+    int levels;
+  };
+  for (const Case& c : {Case{"db4", 512, 5}, Case{"haar", 64, 6},
+                        Case{"db10", 32, 4}}) {
+    const dsp::Wavelet wavelet = dsp::Wavelet::from_name(c.wavelet);
+    const dsp::WaveletTransform wt(wavelet, c.length, c.levels);
+    const std::size_t n = c.length;
+    for (const std::size_t batch : {1, 4, 5}) {
+      SCOPED_TRACE(::testing::Message() << c.wavelet << " " << n << "/"
+                                        << c.levels << " batch=" << batch);
+      util::Rng rng(6000 + n + batch);
+      std::vector<T> in(batch * n);
+      for (auto& x : in) {
+        x = static_cast<T>(rng.gaussian());
+      }
+      std::vector<T> fwd_ref(batch * n), inv_ref(batch * n);
+      for (std::size_t b = 0; b < batch; ++b) {
+        plain_transform(wavelet, c.levels, in.data() + b * n, n,
+                        fwd_ref.data() + b * n, inv_ref.data() + b * n);
+      }
+      for (const Backend* be : all_backends()) {
+        SCOPED_TRACE(be->name());
+        std::vector<T> fwd(batch * n), inv(batch * n);
+        for (std::size_t b = 0; b < batch; ++b) {
+          const std::span<const T> row(in.data() + b * n, n);
+          wt.forward<T>(row, std::span<T>(fwd.data() + b * n, n), *be);
+          wt.inverse<T>(row, std::span<T>(inv.data() + b * n, n), *be);
+        }
+        EXPECT_EQ(first_bit_mismatch(fwd, fwd_ref), batch * n) << "forward";
+        EXPECT_EQ(first_bit_mismatch(inv, inv_ref), batch * n) << "inverse";
+        std::vector<T> fwd_panel(batch * n), inv_panel(batch * n);
+        wt.forward_batch<T>(in, fwd_panel, batch, *be);
+        wt.inverse_batch<T>(in, inv_panel, batch, *be);
+        EXPECT_EQ(first_bit_mismatch(fwd_panel, fwd_ref), batch * n)
+            << "forward_batch";
+        EXPECT_EQ(first_bit_mismatch(inv_panel, inv_ref), batch * n)
+            << "inverse_batch";
+      }
+    }
+  }
+}
+
+TEST(BackendFilterBankBits, WaveletTransformIsBitwiseReferenceFloat) {
+  check_wavelet_transform_bits<float>();
+}
+
+TEST(BackendFilterBankBits, WaveletTransformIsBitwiseReferenceDouble) {
+  check_wavelet_transform_bits<double>();
+}
 
 // ------------------------------------------------------ batched kernels --
 
@@ -496,8 +675,8 @@ TEST(BackendPanelKernels, Norm1BatchMatchesPerRowNorms) {
 }
 
 TEST(BackendPanelKernels, DwtPanelsAreBitwiseRowByRowAcrossStrides) {
-  // 5 rows = one full lane group plus a tail row, so the native
-  // lanes-across-rows synthesis path runs alongside its row-by-row tail.
+  // 5 rows, a level length that is not a lane multiple and unequal
+  // strides: the panel must walk every row as the single-row kernel does.
   const std::size_t batch = 5;
   const std::size_t half_n = 14;  // not a lane multiple
   const std::size_t taps = 8;

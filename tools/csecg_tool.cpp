@@ -141,13 +141,11 @@ Args parse_args(int argc, char** argv, int first) {
     }
     // A flag followed by another flag (or by nothing) is a boolean
     // switch: `gateway --soak` == `gateway --soak 1`.
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      args[argv[i] + 2] = "1";
-      i += 1;
-    } else {
-      args[argv[i] + 2] = argv[i + 1];
-      i += 2;
-    }
+    const bool is_switch =
+        i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0;
+    args.insert_or_assign(std::string(argv[i] + 2),
+                          std::string(is_switch ? "1" : argv[i + 1]));
+    i += is_switch ? 1 : 2;
   }
   return args;
 }
