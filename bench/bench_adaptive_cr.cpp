@@ -16,6 +16,12 @@
 //                              realised switch equals an applied profile.
 //
 // Exit code is non-zero if any of those invariants fails.
+//
+// The scenarios run paced (PipelineConfig::pace), so the sender keeps a
+// scaled copy of the 2 s window cadence the controller is specified for.
+// Unpaced, the sender can close its last epoch before that epoch's NACKs
+// return, which leaves the lossy rows' last NACK rate, final CR and
+// concealment count to thread timing.
 
 #include <cstdint>
 #include <iostream>
@@ -47,6 +53,7 @@ int main(int argc, char** argv) {
   adaptive.epoch_windows = 8;
   adaptive.hysteresis_epochs = 2;
   const std::size_t start_rung = adaptive.start_rung;
+  constexpr double kPace = 0.02;  // 40 ms per 2 s window
 
   struct Scenario {
     const char* label;
@@ -73,6 +80,7 @@ int main(int argc, char** argv) {
   double clean_final_cr = 0.0;
   for (const auto& scenario : scenarios) {
     wbsn::PipelineConfig pipe;
+    pipe.pace = kPace;
     pipe.link.loss_rate = scenario.loss;
     pipe.link.mean_burst_frames = 2.0;
     pipe.adaptive = adaptive;

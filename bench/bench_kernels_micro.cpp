@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the Backend kernel vocabulary on
-// the host: every schedule — reference loops, the §IV-B scalar-VFP and
-// NEON-4-lane models, and the host-native wide-SIMD backend — across the
+// the host: both executing kernel sets — the reference loops and the
+// host-native wide-SIMD backend — plus the counting decorator, across the
 // primitives the FISTA decoder spends its cycles in. Host wall clock only
 // (the Cortex-A8 figures come from the cycle model); the table documents
-// that the lane-blocked schedules are at worst no slower than the plain
-// loops on a modern superscalar core and catches performance regressions.
+// what the native kernels buy over the plain loops and catches
+// performance regressions.
 //
 // `--json <path>` additionally writes BENCH_kernels.json (the repo's
 // machine-readable artefact convention) from the same runs.
@@ -47,15 +47,12 @@ struct Candidate {
 
 std::vector<Candidate> candidates() {
   return {{"reference", &linalg::reference_backend()},
-          {"scalar", &linalg::scalar_backend()},
-          {"simd4", &linalg::simd4_backend()},
           {"native", &linalg::native_backend()},
           {"counting(simd4)", &linalg::counting_simd4_backend()}};
 }
 
 void register_kernels() {
   constexpr std::size_t kN = 512;
-  constexpr std::size_t kTaps = 8;
   for (const auto& c : candidates()) {
     const linalg::Backend* be = c.backend;
     const std::string suffix = std::string("/") + c.label;
@@ -66,19 +63,6 @@ void register_kernels() {
           const auto b = random_vector(kN, 2);
           for (auto _ : state) {
             benchmark::DoNotOptimize(be->dot(a.data(), b.data(), kN));
-          }
-          state.SetItemsProcessed(
-              static_cast<std::int64_t>(state.iterations()) *
-              static_cast<std::int64_t>(kN));
-        });
-
-    benchmark::RegisterBenchmark(
-        ("axpy/512" + suffix).c_str(), [be](benchmark::State& state) {
-          const auto x = random_vector(kN, 3);
-          auto y = random_vector(kN, 4);
-          for (auto _ : state) {
-            be->axpy(0.37f, x.data(), y.data(), kN);
-            benchmark::DoNotOptimize(y.data());
           }
           state.SetItemsProcessed(
               static_cast<std::int64_t>(state.iterations()) *
@@ -137,66 +121,7 @@ void register_kernels() {
                 static_cast<std::int64_t>(state.iterations()) *
                 static_cast<std::int64_t>(k * kN));
           });
-      benchmark::RegisterBenchmark(
-          ("dwt_analysis_batch" + batch_tag).c_str(),
-          [be, k](benchmark::State& state) {
-            constexpr std::size_t kHalf = 256;
-            constexpr std::size_t kExtStride = 2 * kHalf + kTaps - 1;
-            const auto ext = random_vector(k * kExtStride, 14);
-            const auto h0 = random_vector(kTaps, 7);
-            const auto h1 = random_vector(kTaps, 8);
-            std::vector<float> a(k * kHalf);
-            std::vector<float> d(k * kHalf);
-            for (auto _ : state) {
-              be->dwt_analysis_batch(ext.data(), h0.data(), h1.data(),
-                                     a.data(), d.data(), k, kHalf, kTaps,
-                                     kExtStride, kHalf, kHalf);
-              benchmark::DoNotOptimize(a.data());
-            }
-            state.SetItemsProcessed(
-                static_cast<std::int64_t>(state.iterations()) *
-                static_cast<std::int64_t>(k * kHalf * kTaps * 2));
-          });
-      benchmark::RegisterBenchmark(
-          ("dwt_synthesis_batch" + batch_tag).c_str(),
-          [be, k](benchmark::State& state) {
-            constexpr std::size_t kHalf = 256;
-            constexpr std::size_t kExtStride = 2 * (kHalf - 1) + kTaps;
-            const auto a = random_vector(k * kHalf, 15);
-            const auto d = random_vector(k * kHalf, 16);
-            const auto f0 = random_vector(kTaps, 7);
-            const auto f1 = random_vector(kTaps, 8);
-            std::vector<float> ext(k * kExtStride);
-            for (auto _ : state) {
-              be->dwt_synthesis_batch(a.data(), d.data(), f0.data(),
-                                      f1.data(), ext.data(), k, kHalf, kTaps,
-                                      kHalf, kHalf, kExtStride);
-              benchmark::DoNotOptimize(ext.data());
-            }
-            state.SetItemsProcessed(
-                static_cast<std::int64_t>(state.iterations()) *
-                static_cast<std::int64_t>(k * kHalf * kTaps * 2));
-          });
     }
-
-    benchmark::RegisterBenchmark(
-        ("dual_band_filter/256" + suffix).c_str(),
-        [be](benchmark::State& state) {
-          constexpr std::size_t kCount = 256;
-          const auto input = random_vector(kCount + kTaps - 1, 6);
-          const auto h0 = random_vector(kTaps, 7);
-          const auto h1 = random_vector(kTaps, 8);
-          std::vector<float> lo(kCount);
-          std::vector<float> hi(kCount);
-          for (auto _ : state) {
-            be->dual_band_filter(input.data(), h0.data(), h1.data(),
-                                 lo.data(), hi.data(), kCount, kTaps);
-            benchmark::DoNotOptimize(lo.data());
-          }
-          state.SetItemsProcessed(
-              static_cast<std::int64_t>(state.iterations()) *
-              static_cast<std::int64_t>(kCount * kTaps * 2));
-        });
 
     benchmark::RegisterBenchmark(
         ("wavelet_round_trip/512" + suffix).c_str(),
@@ -257,12 +182,9 @@ bool verify_counting_contract() {
   std::vector<float> row_out(4);
   for (const auto& c :
        {Candidate{"reference", &linalg::reference_backend()},
-        Candidate{"scalar", &linalg::scalar_backend()},
-        Candidate{"simd4", &linalg::simd4_backend()},
         Candidate{"native", &linalg::native_backend()}}) {
     linalg::OpCounterScope scope;
     benchmark::DoNotOptimize(c.backend->dot(a.data(), y.data(), 512));
-    c.backend->axpy(0.5f, a.data(), y.data(), 512);
     c.backend->soft_threshold(a.data(), 0.1f, y.data(), 512);
     // The panel kernels ride the same no-counter hot path.
     c.backend->axpy_batch(0.5f, panel.data(), panel_out.data(), 4, 512);

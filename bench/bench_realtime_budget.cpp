@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
        "iterations_in_1s", "mean_iterations", "warm_mean_iterations",
        "budget_headroom", "warm_budget_headroom"});
   table.set_title("Real-time iteration budget (paper: 800 -> 2000)");
-  for (const linalg::Backend* backend :
+  for (const linalg::CountingBackend* backend :
        {&linalg::counting_scalar_backend(),
         &linalg::counting_simd4_backend()}) {
     const ScheduleRun cold = run_schedule(*backend, /*prior_aware=*/false);
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     const double warm_headroom =
         static_cast<double>(budget) / warm.mean_iterations;
     const char* schedule =
-        backend->counted_schedule() == linalg::KernelMode::kScalar
+        backend->schedule() == linalg::KernelMode::kScalar
             ? "scalar VFP"
             : "NEON 4-lane";
     table.add_row({schedule, util::format_double(cycles, 0),

@@ -5,9 +5,9 @@
 //
 //   $ ./monitor_pipeline [record-index] [loss-rate] [mean-burst-frames]
 //                        [bit-error-rate] [max-retries] [trace.jsonl]
-//                        [--backend reference|scalar|simd4|native]
+//                        [--backend reference|native]
 //
-// --backend (default native) picks the kernel schedule the coordinator's
+// --backend (default native) picks the kernel set the coordinator's
 // FISTA reconstruction runs through; the choice is echoed in the
 // coordinator summary.
 //
@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
       if (std::string(positional[i]) == "--backend") {
         backend = linalg::backend_by_name(positional[i + 1]);
         if (backend == nullptr) {
-          std::fprintf(stderr,
-                       "--backend must be reference|scalar|simd4|native\n");
+          std::fprintf(stderr, "--backend must be reference|native\n");
           return 2;
         }
         positional.erase(positional.begin() + static_cast<long>(i),

@@ -19,7 +19,7 @@ namespace {
 template <typename T>
 void charge_sparse_apply(const linalg::Backend& backend,
                          const SensingMatrix& phi, std::size_t batch = 1) {
-  if (!backend.counting()) {
+  if (backend.counting() == nullptr) {
     return;
   }
   const auto k = static_cast<std::uint64_t>(batch);
@@ -32,13 +32,13 @@ void charge_sparse_apply(const linalg::Backend& backend,
     c.scalar_op = (nnz + phi.rows()) * k;  // adds + final scale
     c.loads = nnz * k + nnz * traversals;  // data per lane + index per group
     c.stores = nnz * k;
-    backend.charge(c);
+    linalg::charge(c);
   } else {
     linalg::OpCounts c;
     const auto elems = static_cast<std::uint64_t>(phi.rows()) * phi.cols();
     c.scalar_mac = elems * k;
     c.loads = 2 * elems * k;
-    backend.charge(c);
+    linalg::charge(c);
   }
 }
 

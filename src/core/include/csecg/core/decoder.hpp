@@ -11,8 +11,8 @@
 /// The precision template parameter is the Fig 6 experiment: T = double is
 /// the "Matlab (64bit)" reference, T = float the "iPhone (32bit)" path.
 /// Both precisions run through the configured linalg::Backend; composing a
-/// CountingBackend lets the cycle model price the scalar-VFP versus
-/// vectorised-NEON schedules (§IV-B).
+/// CountingBackend lets the cycle model price the decode as the scalar-VFP
+/// or the vectorised-NEON schedule (§IV-B).
 
 #include <cstdint>
 #include <optional>
@@ -68,9 +68,9 @@ struct DecoderConfig {
   std::size_t max_iterations = 2000;
   double tolerance = 1e-5;
   /// Kernel backend the decode runs through (operators, solver and
-  /// inverse DWT alike). Null = the library default (the simd4 NEON
-  /// schedule model). Must outlive the decoder; the shared singletons
-  /// from linalg/backend.hpp always do.
+  /// inverse DWT alike). Null = the library default (the reference
+  /// loops). Must outlive the decoder; the shared singletons from
+  /// linalg/backend.hpp always do.
   const linalg::Backend* backend = nullptr;
   bool record_objective = false;
   /// l1 weight applied to the wavelet approximation band relative to the

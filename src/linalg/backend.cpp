@@ -21,8 +21,8 @@ namespace csecg::linalg {
 namespace {
 
 // ---------------------------------------------------------------------------
-// §IV-B cost formulas (moved here from the old instrumented kernels; the
-// schedules themselves no longer count — CountingBackend prices them).
+// §IV-B cost formulas (moved here from the old instrumented kernels; no
+// kernel set counts — CountingBackend prices them).
 // ---------------------------------------------------------------------------
 
 // Bookkeeping for a 1-D loop of n elements whose body costs `macs`
@@ -57,8 +57,9 @@ inline OpCounts loop_cost(std::size_t n, KernelMode mode, std::uint64_t macs,
 
 // ---------------------------------------------------------------------------
 // kReference: straightforward templated loops — the numerical ground
-// truth (vector_ops semantics). Also the body shape the old plain-double
-// paths used, so double-precision callers keep their numerics.
+// truth (vector_ops semantics) and the library default. Also the body
+// shape the old plain-double paths used, so double-precision callers keep
+// their numerics.
 // ---------------------------------------------------------------------------
 
 struct RefOps {
@@ -81,14 +82,6 @@ struct RefOps {
   }
 
   template <typename T>
-  static void fused_multiply_add(const T* a, const T* b, const T* c, T* d,
-                                 std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      d[i] = a[i] + b[i] * c[i];
-    }
-  }
-
-  template <typename T>
   static void subtract(const T* a, const T* b, T* out, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = a[i] - b[i];
@@ -99,13 +92,6 @@ struct RefOps {
   static void copy(const T* x, T* out, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = x[i];
-    }
-  }
-
-  template <typename T>
-  static void scale(T alpha, T* x, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] *= alpha;
     }
   }
 
@@ -121,7 +107,7 @@ struct RefOps {
 
   // Group-lasso proximal step over `leads` packed rows: the lead-axis l2
   // norm at each position scales all leads by max(g - t, 0) / g. The
-  // squared norm accumulates in ascending lead order — every schedule
+  // squared norm accumulates in ascending lead order — the native kernel
   // keeps that order, so results are bitwise-identical across backends.
   template <typename T>
   static void group_soft_threshold(const T* u, T t, T* y, std::size_t leads,
@@ -168,22 +154,6 @@ struct RefOps {
   }
 
   template <typename T>
-  static void dual_band_filter(const T* t_in, const T* h0, const T* h1,
-                               T* out_l, T* out_h, std::size_t count,
-                               std::size_t taps) {
-    for (std::size_t i = 0; i < count; ++i) {
-      T x{};
-      T y{};
-      for (std::size_t j = 0; j < taps; ++j) {
-        x += t_in[i + j] * h0[j];
-        y += t_in[i + j] * h1[j];
-      }
-      out_l[i] = x;
-      out_h[i] = y;
-    }
-  }
-
-  template <typename T>
   static void dual_band_analysis(const T* ext, const T* h0, const T* h1,
                                  T* out_a, T* out_d, std::size_t half_n,
                                  std::size_t taps) {
@@ -209,416 +179,6 @@ struct RefOps {
       const T d = detail[i];
       T* x = x_ext + 2 * i;
       for (std::size_t j = 0; j < taps; ++j) {
-        x[j] += a * f0[j] + d * f1[j];
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// kScalar: the §IV-B.a Cortex-A8 VFP schedule — plain loops, branchy
-// soft-threshold sign fix. Identical arithmetic order to the reference
-// loops; kept as a distinct backend because the cycle model prices it
-// differently and the soft-threshold body differs.
-// ---------------------------------------------------------------------------
-
-struct ScalarOps {
-  static constexpr const char* kName = "scalar";
-
-  template <typename T>
-  static T dot(const T* a, const T* b, std::size_t n) {
-    return RefOps::dot(a, b, n);
-  }
-
-  template <typename T>
-  static void axpy(T alpha, const T* x, T* y, std::size_t n) {
-    RefOps::axpy(alpha, x, y, n);
-  }
-
-  template <typename T>
-  static void fused_multiply_add(const T* a, const T* b, const T* c, T* d,
-                                 std::size_t n) {
-    RefOps::fused_multiply_add(a, b, c, d, n);
-  }
-
-  template <typename T>
-  static void subtract(const T* a, const T* b, T* out, std::size_t n) {
-    RefOps::subtract(a, b, out, n);
-  }
-
-  template <typename T>
-  static void copy(const T* x, T* out, std::size_t n) {
-    RefOps::copy(x, out, n);
-  }
-
-  template <typename T>
-  static void scale(T alpha, T* x, std::size_t n) {
-    RefOps::scale(alpha, x, n);
-  }
-
-  // Original §IV-B.a code shape: shrink then fix the sign with branches
-  // (models the ARM<->NEON round trips the paper calls out).
-  template <typename T>
-  static void soft_threshold(const T* u, T t, T* y, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      T v = std::fabs(u[i]) - t;
-      v = v > T(0) ? v : T(0);
-      if (u[i] > T(0)) {
-        y[i] = v;
-      } else if (u[i] < T(0)) {
-        y[i] = -v;
-      } else {
-        y[i] = T(0);
-      }
-    }
-  }
-
-  // Same reference arithmetic order; the factor select keeps the §IV-B.a
-  // branchy shape. L = 1 must hit *this* schedule's plain kernel.
-  template <typename T>
-  static void group_soft_threshold(const T* u, T t, T* y, std::size_t leads,
-                                   std::size_t n) {
-    if (leads == 1) {
-      soft_threshold(u, t, y, n);
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      T sq{};
-      for (std::size_t l = 0; l < leads; ++l) {
-        const T v = u[l * n + i];
-        sq += v * v;
-      }
-      const T g = std::sqrt(sq);
-      T f;
-      if (g > t) {
-        T mag = g - t;
-        f = mag / g;
-      } else {
-        f = T(0);
-      }
-      for (std::size_t l = 0; l < leads; ++l) {
-        y[l * n + i] = u[l * n + i] * f;
-      }
-    }
-  }
-
-  template <typename T>
-  static T norm1(const T* x, std::size_t n) {
-    return RefOps::norm1(x, n);
-  }
-
-  template <typename T>
-  static T norm_inf(const T* x, std::size_t n) {
-    return RefOps::norm_inf(x, n);
-  }
-
-  template <typename T>
-  static void dual_band_filter(const T* t_in, const T* h0, const T* h1,
-                               T* out_l, T* out_h, std::size_t count,
-                               std::size_t taps) {
-    RefOps::dual_band_filter(t_in, h0, h1, out_l, out_h, count, taps);
-  }
-
-  template <typename T>
-  static void dual_band_analysis(const T* ext, const T* h0, const T* h1,
-                                 T* out_a, T* out_d, std::size_t half_n,
-                                 std::size_t taps) {
-    RefOps::dual_band_analysis(ext, h0, h1, out_a, out_d, half_n, taps);
-  }
-
-  template <typename T>
-  static void dual_band_synthesis(const T* approx, const T* detail,
-                                  const T* f0, const T* f1, T* x_ext,
-                                  std::size_t half_n, std::size_t taps) {
-    RefOps::dual_band_synthesis(approx, detail, f0, f1, x_ext, half_n, taps);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// kSimd4: the §IV-B NEON schedule — explicit 4-lane blocking with loop
-// peeling (Fig 3), comparison-as-value sign (Fig 4), outer-loop
-// vectorisation of the filter nests (Fig 5). Bodies are byte-for-byte
-// the old instrumented kernels, templated over the element type so the
-// double path runs the same schedule (ISSUE 5 satellite fix).
-// ---------------------------------------------------------------------------
-
-struct Simd4Ops {
-  static constexpr const char* kName = "simd4";
-
-  template <typename T>
-  static T dot(const T* a, const T* b, std::size_t n) {
-    T lanes[4] = {T(0), T(0), T(0), T(0)};
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      lanes[0] += a[i] * b[i];
-      lanes[1] += a[i + 1] * b[i + 1];
-      lanes[2] += a[i + 2] * b[i + 2];
-      lanes[3] += a[i + 3] * b[i + 3];
-    }
-    T acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      acc += a[i] * b[i];
-    }
-    return acc;
-  }
-
-  template <typename T>
-  static void axpy(T alpha, const T* x, T* y, std::size_t n) {
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      y[i] += alpha * x[i];
-      y[i + 1] += alpha * x[i + 1];
-      y[i + 2] += alpha * x[i + 2];
-      y[i + 3] += alpha * x[i + 3];
-    }
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      y[i] += alpha * x[i];
-    }
-  }
-
-  template <typename T>
-  static void fused_multiply_add(const T* a, const T* b, const T* c, T* d,
-                                 std::size_t n) {
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      d[i] = a[i] + b[i] * c[i];
-      d[i + 1] = a[i + 1] + b[i + 1] * c[i + 1];
-      d[i + 2] = a[i + 2] + b[i + 2] * c[i + 2];
-      d[i + 3] = a[i + 3] + b[i + 3] * c[i + 3];
-    }
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      d[i] = a[i] + b[i] * c[i];
-    }
-  }
-
-  template <typename T>
-  static void subtract(const T* a, const T* b, T* out, std::size_t n) {
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      out[i] = a[i] - b[i];
-      out[i + 1] = a[i + 1] - b[i + 1];
-      out[i + 2] = a[i + 2] - b[i + 2];
-      out[i + 3] = a[i + 3] - b[i + 3];
-    }
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      out[i] = a[i] - b[i];
-    }
-  }
-
-  template <typename T>
-  static void copy(const T* x, T* out, std::size_t n) {
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      out[i] = x[i];
-      out[i + 1] = x[i + 1];
-      out[i + 2] = x[i + 2];
-      out[i + 3] = x[i + 3];
-    }
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      out[i] = x[i];
-    }
-  }
-
-  template <typename T>
-  static void scale(T alpha, T* x, std::size_t n) {
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      x[i] *= alpha;
-      x[i + 1] *= alpha;
-      x[i + 2] *= alpha;
-      x[i + 3] *= alpha;
-    }
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      x[i] *= alpha;
-    }
-  }
-
-  // Fig 4: comparison results used as values — (u>0) - (u<0) gives the
-  // sign as a multiplicand, no branches in the lane body.
-  template <typename T>
-  static void soft_threshold(const T* u, T t, T* y, std::size_t n) {
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      for (std::size_t lane = 0; lane < 4; ++lane) {
-        const T v = u[i + lane];
-        T mag = std::fabs(v) - t;
-        mag = mag > T(0) ? mag : T(0);
-        const T sign =
-            static_cast<T>(v > T(0)) - static_cast<T>(v < T(0));
-        y[i + lane] = mag * sign;
-      }
-    }
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      const T v = u[i];
-      T mag = std::fabs(v) - t;
-      mag = mag > T(0) ? mag : T(0);
-      const T sign = static_cast<T>(v > T(0)) - static_cast<T>(v < T(0));
-      y[i] = mag * sign;
-    }
-  }
-
-  // 4-lane blocking over positions (the lead axis stays the inner
-  // accumulation, in ascending order): squared norms build up in lane
-  // accumulators, the sqrt/divide factor is computed per lane, then each
-  // lead's block is rescaled. Tail positions run the scalar body.
-  template <typename T>
-  static void group_soft_threshold(const T* u, T t, T* y, std::size_t leads,
-                                   std::size_t n) {
-    if (leads == 1) {
-      soft_threshold(u, t, y, n);
-      return;
-    }
-    const std::size_t blocks = n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      T sq[4] = {T(0), T(0), T(0), T(0)};
-      for (std::size_t l = 0; l < leads; ++l) {
-        const T* row = u + l * n + i;
-        for (std::size_t lane = 0; lane < 4; ++lane) {
-          sq[lane] += row[lane] * row[lane];
-        }
-      }
-      T f[4];
-      for (std::size_t lane = 0; lane < 4; ++lane) {
-        const T g = std::sqrt(sq[lane]);
-        T mag = g - t;
-        mag = mag > T(0) ? mag : T(0);
-        f[lane] = g > T(0) ? mag / g : T(0);
-      }
-      for (std::size_t l = 0; l < leads; ++l) {
-        const T* row = u + l * n + i;
-        T* out = y + l * n + i;
-        for (std::size_t lane = 0; lane < 4; ++lane) {
-          out[lane] = row[lane] * f[lane];
-        }
-      }
-    }
-    for (std::size_t i = blocks * 4; i < n; ++i) {
-      T sq{};
-      for (std::size_t l = 0; l < leads; ++l) {
-        const T v = u[l * n + i];
-        sq += v * v;
-      }
-      const T g = std::sqrt(sq);
-      T mag = g - t;
-      mag = mag > T(0) ? mag : T(0);
-      const T f = g > T(0) ? mag / g : T(0);
-      for (std::size_t l = 0; l < leads; ++l) {
-        y[l * n + i] = u[l * n + i] * f;
-      }
-    }
-  }
-
-  template <typename T>
-  static T norm1(const T* x, std::size_t n) {
-    return RefOps::norm1(x, n);
-  }
-
-  template <typename T>
-  static T norm_inf(const T* x, std::size_t n) {
-    return RefOps::norm_inf(x, n);
-  }
-
-  // Outer-loop vectorisation (Fig 5): 4 output samples at a time, both
-  // bands kept in lane accumulators.
-  template <typename T>
-  static void dual_band_filter(const T* t_in, const T* h0, const T* h1,
-                               T* out_l, T* out_h, std::size_t count,
-                               std::size_t taps) {
-    const std::size_t blocks = count / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      T xl[4] = {T(0), T(0), T(0), T(0)};
-      T xh[4] = {T(0), T(0), T(0), T(0)};
-      for (std::size_t j = 0; j < taps; ++j) {
-        const T c0 = h0[j];
-        const T c1 = h1[j];
-        for (std::size_t lane = 0; lane < 4; ++lane) {
-          const T s = t_in[i + lane + j];
-          xl[lane] += s * c0;
-          xh[lane] += s * c1;
-        }
-      }
-      for (std::size_t lane = 0; lane < 4; ++lane) {
-        out_l[i + lane] = xl[lane];
-        out_h[i + lane] = xh[lane];
-      }
-    }
-    for (std::size_t i = blocks * 4; i < count; ++i) {
-      T x{};
-      T y{};
-      for (std::size_t j = 0; j < taps; ++j) {
-        x += t_in[i + j] * h0[j];
-        y += t_in[i + j] * h1[j];
-      }
-      out_l[i] = x;
-      out_h[i] = y;
-    }
-  }
-
-  template <typename T>
-  static void dual_band_analysis(const T* ext, const T* h0, const T* h1,
-                                 T* out_a, T* out_d, std::size_t half_n,
-                                 std::size_t taps) {
-    const std::size_t blocks = half_n / 4;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * 4;
-      T la[4] = {T(0), T(0), T(0), T(0)};
-      T ld[4] = {T(0), T(0), T(0), T(0)};
-      for (std::size_t j = 0; j < taps; ++j) {
-        const T c0 = h0[j];
-        const T c1 = h1[j];
-        for (std::size_t lane = 0; lane < 4; ++lane) {
-          const T s = ext[2 * (i + lane) + j];
-          la[lane] += s * c0;
-          ld[lane] += s * c1;
-        }
-      }
-      for (std::size_t lane = 0; lane < 4; ++lane) {
-        out_a[i + lane] = la[lane];
-        out_d[i + lane] = ld[lane];
-      }
-    }
-    for (std::size_t i = blocks * 4; i < half_n; ++i) {
-      const T* s = ext + 2 * i;
-      T a{};
-      T d{};
-      for (std::size_t j = 0; j < taps; ++j) {
-        a += s[j] * h0[j];
-        d += s[j] * h1[j];
-      }
-      out_a[i] = a;
-      out_d[i] = d;
-    }
-  }
-
-  // Inner-loop vectorisation: for a fixed output block, 4 consecutive
-  // filter taps are applied per vector op. Consecutive i values write
-  // overlapping ranges, so the outer loop stays scalar.
-  template <typename T>
-  static void dual_band_synthesis(const T* approx, const T* detail,
-                                  const T* f0, const T* f1, T* x_ext,
-                                  std::size_t half_n, std::size_t taps) {
-    for (std::size_t i = 0; i < half_n; ++i) {
-      const T a = approx[i];
-      const T d = detail[i];
-      T* x = x_ext + 2 * i;
-      const std::size_t blocks = taps / 4;
-      for (std::size_t blk = 0; blk < blocks; ++blk) {
-        const std::size_t j = blk * 4;
-        x[j] += a * f0[j] + d * f1[j];
-        x[j + 1] += a * f0[j + 1] + d * f1[j + 1];
-        x[j + 2] += a * f0[j + 2] + d * f1[j + 2];
-        x[j + 3] += a * f0[j + 3] + d * f1[j + 3];
-      }
-      for (std::size_t j = blocks * 4; j < taps; ++j) {
         x[j] += a * f0[j] + d * f1[j];
       }
     }
@@ -638,8 +198,7 @@ struct Simd4Ops {
 // extensions — 32-byte vectors (8 float / 4 double lanes). Unaligned
 // access goes through memcpy, which the compiler folds into vector
 // load/store instructions. The elementwise kernels and dot get explicit
-// wide vectors; dual_band_filter uses L-lane accumulator blocks the
-// autovectoriser handles. The wavelet filter bank (polyphase analysis,
+// wide vectors. The wavelet filter bank (polyphase analysis,
 // gather synthesis) keeps several accumulators live across its tap loop,
 // and GCC holds a generic vector wider than the target's registers in
 // memory, so it runs 16-byte vectors, the baseline SSE2/NEON width.
@@ -698,20 +257,6 @@ struct NativeOps {
   }
 
   template <typename T>
-  static void fused_multiply_add(const T* a, const T* b, const T* c, T* d,
-                                 std::size_t n) {
-    constexpr std::size_t L = NativeVec<T>::kLanes;
-    std::size_t i = 0;
-    for (; i + L <= n; i += L) {
-      vstore<T>(d + i,
-                vload<T>(a + i) + vload<T>(b + i) * vload<T>(c + i));
-    }
-    for (; i < n; ++i) {
-      d[i] = a[i] + b[i] * c[i];
-    }
-  }
-
-  template <typename T>
   static void subtract(const T* a, const T* b, T* out, std::size_t n) {
     constexpr std::size_t L = NativeVec<T>::kLanes;
     std::size_t i = 0;
@@ -727,18 +272,6 @@ struct NativeOps {
   static void copy(const T* x, T* out, std::size_t n) {
     if (n != 0) {
       std::memmove(out, x, n * sizeof(T));
-    }
-  }
-
-  template <typename T>
-  static void scale(T alpha, T* x, std::size_t n) {
-    constexpr std::size_t L = NativeVec<T>::kLanes;
-    std::size_t i = 0;
-    for (; i + L <= n; i += L) {
-      vstore<T>(x + i, alpha * vload<T>(x + i));
-    }
-    for (; i < n; ++i) {
-      x[i] *= alpha;
     }
   }
 
@@ -811,42 +344,6 @@ struct NativeOps {
   template <typename T>
   static T norm_inf(const T* x, std::size_t n) {
     return RefOps::norm_inf(x, n);
-  }
-
-  template <typename T>
-  static void dual_band_filter(const T* t_in, const T* h0, const T* h1,
-                               T* out_l, T* out_h, std::size_t count,
-                               std::size_t taps) {
-    constexpr std::size_t L = NativeVec<T>::kLanes;
-    const std::size_t blocks = count / L;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const std::size_t i = blk * L;
-      T xl[L] = {};
-      T xh[L] = {};
-      for (std::size_t j = 0; j < taps; ++j) {
-        const T c0 = h0[j];
-        const T c1 = h1[j];
-        for (std::size_t lane = 0; lane < L; ++lane) {
-          const T s = t_in[i + lane + j];
-          xl[lane] += s * c0;
-          xh[lane] += s * c1;
-        }
-      }
-      for (std::size_t lane = 0; lane < L; ++lane) {
-        out_l[i + lane] = xl[lane];
-        out_h[i + lane] = xh[lane];
-      }
-    }
-    for (std::size_t i = blocks * L; i < count; ++i) {
-      T x{};
-      T y{};
-      for (std::size_t j = 0; j < taps; ++j) {
-        x += t_in[i + j] * h0[j];
-        y += t_in[i + j] * h1[j];
-      }
-      out_l[i] = x;
-      out_h[i] = y;
-    }
   }
 
   // Polyphase analysis: ext is split once into its even and odd phases,
@@ -988,23 +485,12 @@ class OpsBackend final : public Backend {
   float dot(const float* a, const float* b, std::size_t n) const override {
     return Ops::template dot<float>(a, b, n);
   }
-  void axpy(float alpha, const float* x, float* y,
-            std::size_t n) const override {
-    Ops::template axpy<float>(alpha, x, y, n);
-  }
-  void fused_multiply_add(const float* a, const float* b, const float* c,
-                          float* d, std::size_t n) const override {
-    Ops::template fused_multiply_add<float>(a, b, c, d, n);
-  }
   void subtract(const float* a, const float* b, float* out,
                 std::size_t n) const override {
     Ops::template subtract<float>(a, b, out, n);
   }
   void copy(const float* x, float* out, std::size_t n) const override {
     Ops::template copy<float>(x, out, n);
-  }
-  void scale(float alpha, float* x, std::size_t n) const override {
-    Ops::template scale<float>(alpha, x, n);
   }
   void soft_threshold(const float* u, float t, float* y,
                       std::size_t n) const override {
@@ -1015,12 +501,6 @@ class OpsBackend final : public Backend {
   }
   float norm_inf(const float* x, std::size_t n) const override {
     return Ops::template norm_inf<float>(x, n);
-  }
-  void dual_band_filter(const float* t_in, const float* h0, const float* h1,
-                        float* out_l, float* out_h, std::size_t count,
-                        std::size_t taps) const override {
-    Ops::template dual_band_filter<float>(t_in, h0, h1, out_l, out_h, count,
-                                          taps);
   }
   void dual_band_analysis(const float* ext, const float* h0, const float* h1,
                           float* out_a, float* out_d, std::size_t half_n,
@@ -1039,23 +519,12 @@ class OpsBackend final : public Backend {
   double dot(const double* a, const double* b, std::size_t n) const override {
     return Ops::template dot<double>(a, b, n);
   }
-  void axpy(double alpha, const double* x, double* y,
-            std::size_t n) const override {
-    Ops::template axpy<double>(alpha, x, y, n);
-  }
-  void fused_multiply_add(const double* a, const double* b, const double* c,
-                          double* d, std::size_t n) const override {
-    Ops::template fused_multiply_add<double>(a, b, c, d, n);
-  }
   void subtract(const double* a, const double* b, double* out,
                 std::size_t n) const override {
     Ops::template subtract<double>(a, b, out, n);
   }
   void copy(const double* x, double* out, std::size_t n) const override {
     Ops::template copy<double>(x, out, n);
-  }
-  void scale(double alpha, double* x, std::size_t n) const override {
-    Ops::template scale<double>(alpha, x, n);
   }
   void soft_threshold(const double* u, double t, double* y,
                       std::size_t n) const override {
@@ -1066,12 +535,6 @@ class OpsBackend final : public Backend {
   }
   double norm_inf(const double* x, std::size_t n) const override {
     return Ops::template norm_inf<double>(x, n);
-  }
-  void dual_band_filter(const double* t_in, const double* h0,
-                        const double* h1, double* out_l, double* out_h,
-                        std::size_t count, std::size_t taps) const override {
-    Ops::template dual_band_filter<double>(t_in, h0, h1, out_l, out_h, count,
-                                           taps);
   }
   void dual_band_analysis(const double* ext, const double* h0,
                           const double* h1, double* out_a, double* out_d,
@@ -1091,12 +554,11 @@ class OpsBackend final : public Backend {
   // -- panel kernels --------------------------------------------------------
   // Elementwise panels collapse to one flat sweep over batch*n (per-element
   // arithmetic is independent, so this is bitwise-identical to the row
-  // loop and lets the wide schedules run full-width blocks across row
+  // loop and lets the wide kernels run full-width blocks across row
   // boundaries instead of re-entering the kernel k times). Reductions and
   // the per-row-threshold shrink keep the row loop — per-row accumulation
   // order is part of the bitwise contract — but devirtualised onto the Ops
-  // statics. The filter-bank panels keep Backend's row loop over the
-  // single-row kernels.
+  // statics.
   void soft_threshold_batch(const float* u, const float* thresholds, float* y,
                             std::size_t batch, std::size_t n) const override {
     for (std::size_t b = 0; b < batch; ++b) {
@@ -1174,8 +636,8 @@ class OpsBackend final : public Backend {
 
 // ---------------------------------------------------------------------------
 // §IV-B cost formulas per kernel — exactly what the old instrumented
-// kernels charged, factored out so CountingBackend can price any wrapped
-// schedule.
+// kernels charged, as functions of the kernel sizes and the schedule
+// alone, so CountingBackend prices any wrapped kernel set the same way.
 // ---------------------------------------------------------------------------
 
 inline OpCounts dot_cost(std::size_t n, KernelMode m) {
@@ -1185,17 +647,11 @@ inline OpCounts dot_cost(std::size_t n, KernelMode m) {
 inline OpCounts axpy_cost(std::size_t n, KernelMode m) {
   return loop_cost(n, m, n, 0, 2 * n, n);
 }
-inline OpCounts fma_cost(std::size_t n, KernelMode m) {
-  return loop_cost(n, m, n, 0, 3 * n, n);
-}
 inline OpCounts subtract_cost(std::size_t n, KernelMode m) {
   return loop_cost(n, m, 0, n, 2 * n, n);
 }
 inline OpCounts copy_cost(std::size_t n, KernelMode m) {
   return loop_cost(n, m, 0, 0, n, n);
-}
-inline OpCounts scale_cost(std::size_t n, KernelMode m) {
-  return loop_cost(n, m, 0, n, n, n);
 }
 inline OpCounts soft_threshold_cost(std::size_t n, KernelMode m) {
   if (m == KernelMode::kScalar) {
@@ -1208,6 +664,7 @@ inline OpCounts soft_threshold_cost(std::size_t n, KernelMode m) {
     c.stores = n;
     return c;
   }
+  // Fig 4: the comparison-as-value sign keeps the lane body branch-free.
   return loop_cost(n, KernelMode::kSimd4, 0, 5 * n, n, n);
 }
 inline OpCounts norm1_cost(std::size_t n, KernelMode m) {
@@ -1221,13 +678,8 @@ inline OpCounts norm1_cost(std::size_t n, KernelMode m) {
   c.loads = n;
   return c;
 }
-inline OpCounts dual_band_filter_cost(std::size_t count, std::size_t taps,
-                                      KernelMode m) {
-  const std::uint64_t macs = 2ull * static_cast<std::uint64_t>(count) * taps;
-  return loop_cost(count, m, macs, 0,
-                   static_cast<std::uint64_t>(count) * taps + 2 * taps,
-                   2 * count);
-}
+// Fig 5: the NEON schedule vectorises the analysis nest's outer loop,
+// four output samples at a time.
 inline OpCounts dual_band_analysis_cost(std::size_t half_n, std::size_t taps,
                                         KernelMode m) {
   const std::uint64_t macs = 2ull * static_cast<std::uint64_t>(half_n) * taps;
@@ -1237,20 +689,13 @@ inline OpCounts dual_band_analysis_cost(std::size_t half_n, std::size_t taps,
 inline OpCounts dual_band_synthesis_cost(std::size_t half_n, std::size_t taps,
                                          KernelMode m) {
   const std::uint64_t macs = 2ull * static_cast<std::uint64_t>(half_n) * taps;
-  // First loop_cost argument is taps: the NEON synthesis schedule blocks
-  // the tap loop, so the 4-lane packing (and tail) follow taps, not half_n.
+  // First loop_cost argument is taps: consecutive outputs overlap, so the
+  // NEON synthesis schedule blocks the tap loop and the 4-lane packing
+  // (and tail) follow taps, not half_n.
   return loop_cost(taps, m, macs, 0,
                    static_cast<std::uint64_t>(half_n) * (taps + 2),
                    static_cast<std::uint64_t>(half_n) * taps);
 }
-
-// Group shrink: L x the per-row shrink apply plus the group-norm work —
-// leads MACs per position for the squared-norm accumulation (re-reading
-// every lead's coefficient) and 2 ops per position for the sqrt/divide
-// factor. leads == 1 charges exactly the plain kernel's formula, so the
-// counted OpCounts stay byte-identical to the single-lead stack.
-inline OpCounts group_soft_threshold_cost(std::size_t leads, std::size_t n,
-                                          KernelMode m);
 
 // Panel charges are batch x the per-row formula. OpCounts fields are all
 // additive, so this is byte-identical to charging the row formula batch
@@ -1269,6 +714,11 @@ inline OpCounts scaled(OpCounts c, std::size_t batch) {
   return c;
 }
 
+// Group shrink: L x the per-row shrink apply plus the group-norm work —
+// leads MACs per position for the squared-norm accumulation (re-reading
+// every lead's coefficient) and 2 ops per position for the sqrt/divide
+// factor. leads == 1 charges exactly the plain kernel's formula, so the
+// counted OpCounts stay byte-identical to the single-lead stack.
 inline OpCounts group_soft_threshold_cost(std::size_t leads, std::size_t n,
                                           KernelMode m) {
   if (leads <= 1) {
@@ -1285,182 +735,11 @@ inline OpCounts group_soft_threshold_cost(std::size_t leads, std::size_t n,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Batched defaults: row-by-row over the virtual single-problem kernels
-// (elementwise, so any flat override is bitwise-identical per row).
-// ---------------------------------------------------------------------------
-
-void Backend::soft_threshold_batch(const float* u, const float* thresholds,
-                                   float* y, std::size_t batch,
-                                   std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    soft_threshold(u + b * n, thresholds[b], y + b * n, n);
-  }
-}
-
-void Backend::soft_threshold_batch(const double* u, const double* thresholds,
-                                   double* y, std::size_t batch,
-                                   std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    soft_threshold(u + b * n, thresholds[b], y + b * n, n);
-  }
-}
-
-// Group-shrink defaults: reference semantics for groups, the backend's
-// own plain kernel at leads == 1 (the bitwise degeneration contract).
-void Backend::group_soft_threshold_batch(const float* u, float t, float* y,
-                                         std::size_t leads,
-                                         std::size_t n) const {
-  if (leads == 1) {
-    soft_threshold(u, t, y, n);
-    return;
-  }
-  RefOps::group_soft_threshold<float>(u, t, y, leads, n);
-}
-
-void Backend::group_soft_threshold_batch(const double* u, double t, double* y,
-                                         std::size_t leads,
-                                         std::size_t n) const {
-  if (leads == 1) {
-    soft_threshold(u, t, y, n);
-    return;
-  }
-  RefOps::group_soft_threshold<double>(u, t, y, leads, n);
-}
-
-void Backend::dot_batch(const float* a, const float* b, float* out,
-                        std::size_t batch, std::size_t n) const {
-  for (std::size_t r = 0; r < batch; ++r) {
-    out[r] = dot(a + r * n, b + r * n, n);
-  }
-}
-
-void Backend::dot_batch(const double* a, const double* b, double* out,
-                        std::size_t batch, std::size_t n) const {
-  for (std::size_t r = 0; r < batch; ++r) {
-    out[r] = dot(a + r * n, b + r * n, n);
-  }
-}
-
-void Backend::axpy_batch(float alpha, const float* x, float* y,
-                         std::size_t batch, std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    axpy(alpha, x + b * n, y + b * n, n);
-  }
-}
-
-void Backend::axpy_batch(double alpha, const double* x, double* y,
-                         std::size_t batch, std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    axpy(alpha, x + b * n, y + b * n, n);
-  }
-}
-
-void Backend::subtract_batch(const float* a, const float* b, float* out,
-                             std::size_t batch, std::size_t n) const {
-  for (std::size_t r = 0; r < batch; ++r) {
-    subtract(a + r * n, b + r * n, out + r * n, n);
-  }
-}
-
-void Backend::subtract_batch(const double* a, const double* b, double* out,
-                             std::size_t batch, std::size_t n) const {
-  for (std::size_t r = 0; r < batch; ++r) {
-    subtract(a + r * n, b + r * n, out + r * n, n);
-  }
-}
-
-void Backend::copy_batch(const float* x, float* out, std::size_t batch,
-                         std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    copy(x + b * n, out + b * n, n);
-  }
-}
-
-void Backend::copy_batch(const double* x, double* out, std::size_t batch,
-                         std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    copy(x + b * n, out + b * n, n);
-  }
-}
-
-void Backend::norm1_batch(const float* x, float* out, std::size_t batch,
-                          std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    out[b] = norm1(x + b * n, n);
-  }
-}
-
-void Backend::norm1_batch(const double* x, double* out, std::size_t batch,
-                          std::size_t n) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    out[b] = norm1(x + b * n, n);
-  }
-}
-
-void Backend::dwt_analysis_batch(const float* ext, const float* h0,
-                                 const float* h1, float* out_a, float* out_d,
-                                 std::size_t batch, std::size_t half_n,
-                                 std::size_t taps, std::size_t ext_stride,
-                                 std::size_t a_stride,
-                                 std::size_t d_stride) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    dual_band_analysis(ext + b * ext_stride, h0, h1, out_a + b * a_stride,
-                       out_d + b * d_stride, half_n, taps);
-  }
-}
-
-void Backend::dwt_analysis_batch(const double* ext, const double* h0,
-                                 const double* h1, double* out_a,
-                                 double* out_d, std::size_t batch,
-                                 std::size_t half_n, std::size_t taps,
-                                 std::size_t ext_stride, std::size_t a_stride,
-                                 std::size_t d_stride) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    dual_band_analysis(ext + b * ext_stride, h0, h1, out_a + b * a_stride,
-                       out_d + b * d_stride, half_n, taps);
-  }
-}
-
-void Backend::dwt_synthesis_batch(const float* approx, const float* detail,
-                                  const float* f0, const float* f1,
-                                  float* x_ext, std::size_t batch,
-                                  std::size_t half_n, std::size_t taps,
-                                  std::size_t a_stride, std::size_t d_stride,
-                                  std::size_t ext_stride) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    dual_band_synthesis(approx + b * a_stride, detail + b * d_stride, f0, f1,
-                        x_ext + b * ext_stride, half_n, taps);
-  }
-}
-
-void Backend::dwt_synthesis_batch(const double* approx, const double* detail,
-                                  const double* f0, const double* f1,
-                                  double* x_ext, std::size_t batch,
-                                  std::size_t half_n, std::size_t taps,
-                                  std::size_t a_stride, std::size_t d_stride,
-                                  std::size_t ext_stride) const {
-  for (std::size_t b = 0; b < batch; ++b) {
-    dual_band_synthesis(approx + b * a_stride, detail + b * d_stride, f0, f1,
-                        x_ext + b * ext_stride, half_n, taps);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Singletons.
 // ---------------------------------------------------------------------------
 
 const Backend& reference_backend() {
   static const OpsBackend<RefOps, BackendKind::kReference> instance;
-  return instance;
-}
-
-const Backend& scalar_backend() {
-  static const OpsBackend<ScalarOps, BackendKind::kScalar> instance;
-  return instance;
-}
-
-const Backend& simd4_backend() {
-  static const OpsBackend<Simd4Ops, BackendKind::kSimd4> instance;
   return instance;
 }
 
@@ -1475,17 +754,11 @@ const Backend& native_backend() {
 
 bool native_simd_available() { return CSECG_HAS_NATIVE_SIMD != 0; }
 
-const Backend& default_backend() { return simd4_backend(); }
+const Backend& default_backend() { return reference_backend(); }
 
 const Backend* backend_by_name(std::string_view name) {
   if (name == "reference") {
     return &reference_backend();
-  }
-  if (name == "scalar") {
-    return &scalar_backend();
-  }
-  if (name == "simd4") {
-    return &simd4_backend();
   }
   if (name == "native") {
     return &native_backend();
@@ -1494,86 +767,57 @@ const Backend* backend_by_name(std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
-// CountingBackend.
+// CountingBackend: charge the schedule's formula, then run the wrapped
+// kernel. The charge never depends on the wrapped kernel's result, and
+// plain kernels charge nothing, so the order is immaterial.
 // ---------------------------------------------------------------------------
 
-CountingBackend::CountingBackend(const Backend& inner)
-    : inner_(inner), schedule_(inner.counted_schedule()) {
-  std::snprintf(name_, sizeof(name_), "counting(%s)", inner_.name());
-}
-
-void CountingBackend::charge(const OpCounts& delta) const {
-  linalg::charge(delta);
+CountingBackend::CountingBackend(const Backend& inner, KernelMode schedule)
+    : inner_(inner), schedule_(schedule) {
+  std::snprintf(name_, sizeof(name_), "counting(%s, %s)", inner_.name(),
+                schedule_ == KernelMode::kScalar ? "scalar" : "simd4");
 }
 
 float CountingBackend::dot(const float* a, const float* b,
                            std::size_t n) const {
-  const float r = inner_.dot(a, b, n);
-  linalg::charge(dot_cost(n, schedule_));
-  return r;
-}
-
-void CountingBackend::axpy(float alpha, const float* x, float* y,
-                           std::size_t n) const {
-  inner_.axpy(alpha, x, y, n);
-  linalg::charge(axpy_cost(n, schedule_));
-}
-
-void CountingBackend::fused_multiply_add(const float* a, const float* b,
-                                         const float* c, float* d,
-                                         std::size_t n) const {
-  inner_.fused_multiply_add(a, b, c, d, n);
-  linalg::charge(fma_cost(n, schedule_));
+  charge(dot_cost(n, schedule_));
+  return inner_.dot(a, b, n);
 }
 
 void CountingBackend::subtract(const float* a, const float* b, float* out,
                                std::size_t n) const {
+  charge(subtract_cost(n, schedule_));
   inner_.subtract(a, b, out, n);
-  linalg::charge(subtract_cost(n, schedule_));
 }
 
 void CountingBackend::copy(const float* x, float* out, std::size_t n) const {
+  charge(copy_cost(n, schedule_));
   inner_.copy(x, out, n);
-  linalg::charge(copy_cost(n, schedule_));
-}
-
-void CountingBackend::scale(float alpha, float* x, std::size_t n) const {
-  inner_.scale(alpha, x, n);
-  linalg::charge(scale_cost(n, schedule_));
 }
 
 void CountingBackend::soft_threshold(const float* u, float t, float* y,
                                      std::size_t n) const {
+  charge(soft_threshold_cost(n, schedule_));
   inner_.soft_threshold(u, t, y, n);
-  linalg::charge(soft_threshold_cost(n, schedule_));
 }
 
 float CountingBackend::norm1(const float* x, std::size_t n) const {
-  const float r = inner_.norm1(x, n);
-  linalg::charge(norm1_cost(n, schedule_));
-  return r;
+  charge(norm1_cost(n, schedule_));
+  return inner_.norm1(x, n);
 }
 
+// Deliberately uncharged: the decoder's lambda calibration read has never
+// been part of the modelled op mix.
 float CountingBackend::norm_inf(const float* x, std::size_t n) const {
-  // Deliberately uncharged: the decoder's lambda calibration read has
-  // never been part of the modelled op mix.
   return inner_.norm_inf(x, n);
-}
-
-void CountingBackend::dual_band_filter(const float* t_in, const float* h0,
-                                       const float* h1, float* out_l,
-                                       float* out_h, std::size_t count,
-                                       std::size_t taps) const {
-  inner_.dual_band_filter(t_in, h0, h1, out_l, out_h, count, taps);
-  linalg::charge(dual_band_filter_cost(count, taps, schedule_));
 }
 
 void CountingBackend::dual_band_analysis(const float* ext, const float* h0,
                                          const float* h1, float* out_a,
                                          float* out_d, std::size_t half_n,
                                          std::size_t taps) const {
+  charge(dual_band_analysis_cost(half_n, taps, schedule_));
   inner_.dual_band_analysis(ext, h0, h1, out_a, out_d, half_n, taps);
-  linalg::charge(dual_band_analysis_cost(half_n, taps, schedule_));
 }
 
 void CountingBackend::dual_band_synthesis(const float* approx,
@@ -1581,77 +825,49 @@ void CountingBackend::dual_band_synthesis(const float* approx,
                                           const float* f0, const float* f1,
                                           float* x_ext, std::size_t half_n,
                                           std::size_t taps) const {
+  charge(dual_band_synthesis_cost(half_n, taps, schedule_));
   inner_.dual_band_synthesis(approx, detail, f0, f1, x_ext, half_n, taps);
-  linalg::charge(dual_band_synthesis_cost(half_n, taps, schedule_));
 }
 
 double CountingBackend::dot(const double* a, const double* b,
                             std::size_t n) const {
-  const double r = inner_.dot(a, b, n);
-  linalg::charge(dot_cost(n, schedule_));
-  return r;
-}
-
-void CountingBackend::axpy(double alpha, const double* x, double* y,
-                           std::size_t n) const {
-  inner_.axpy(alpha, x, y, n);
-  linalg::charge(axpy_cost(n, schedule_));
-}
-
-void CountingBackend::fused_multiply_add(const double* a, const double* b,
-                                         const double* c, double* d,
-                                         std::size_t n) const {
-  inner_.fused_multiply_add(a, b, c, d, n);
-  linalg::charge(fma_cost(n, schedule_));
+  charge(dot_cost(n, schedule_));
+  return inner_.dot(a, b, n);
 }
 
 void CountingBackend::subtract(const double* a, const double* b, double* out,
                                std::size_t n) const {
+  charge(subtract_cost(n, schedule_));
   inner_.subtract(a, b, out, n);
-  linalg::charge(subtract_cost(n, schedule_));
 }
 
 void CountingBackend::copy(const double* x, double* out,
                            std::size_t n) const {
+  charge(copy_cost(n, schedule_));
   inner_.copy(x, out, n);
-  linalg::charge(copy_cost(n, schedule_));
-}
-
-void CountingBackend::scale(double alpha, double* x, std::size_t n) const {
-  inner_.scale(alpha, x, n);
-  linalg::charge(scale_cost(n, schedule_));
 }
 
 void CountingBackend::soft_threshold(const double* u, double t, double* y,
                                      std::size_t n) const {
+  charge(soft_threshold_cost(n, schedule_));
   inner_.soft_threshold(u, t, y, n);
-  linalg::charge(soft_threshold_cost(n, schedule_));
 }
 
 double CountingBackend::norm1(const double* x, std::size_t n) const {
-  const double r = inner_.norm1(x, n);
-  linalg::charge(norm1_cost(n, schedule_));
-  return r;
+  charge(norm1_cost(n, schedule_));
+  return inner_.norm1(x, n);
 }
 
 double CountingBackend::norm_inf(const double* x, std::size_t n) const {
   return inner_.norm_inf(x, n);
 }
 
-void CountingBackend::dual_band_filter(const double* t_in, const double* h0,
-                                       const double* h1, double* out_l,
-                                       double* out_h, std::size_t count,
-                                       std::size_t taps) const {
-  inner_.dual_band_filter(t_in, h0, h1, out_l, out_h, count, taps);
-  linalg::charge(dual_band_filter_cost(count, taps, schedule_));
-}
-
 void CountingBackend::dual_band_analysis(const double* ext, const double* h0,
                                          const double* h1, double* out_a,
                                          double* out_d, std::size_t half_n,
                                          std::size_t taps) const {
+  charge(dual_band_analysis_cost(half_n, taps, schedule_));
   inner_.dual_band_analysis(ext, h0, h1, out_a, out_d, half_n, taps);
-  linalg::charge(dual_band_analysis_cost(half_n, taps, schedule_));
 }
 
 void CountingBackend::dual_band_synthesis(const double* approx,
@@ -1659,154 +875,114 @@ void CountingBackend::dual_band_synthesis(const double* approx,
                                           const double* f0, const double* f1,
                                           double* x_ext, std::size_t half_n,
                                           std::size_t taps) const {
+  charge(dual_band_synthesis_cost(half_n, taps, schedule_));
   inner_.dual_band_synthesis(approx, detail, f0, f1, x_ext, half_n, taps);
-  linalg::charge(dual_band_synthesis_cost(half_n, taps, schedule_));
 }
 
-// Panel kernels: run the wrapped schedule's panel implementation, then
-// charge batch x the per-row formula (see scaled()) — byte-identical to
-// the sequential row-by-row schedule.
+// Panel kernels: batch x the per-row formula (see scaled()) —
+// byte-identical to the sequential row-by-row schedule.
 
 void CountingBackend::soft_threshold_batch(const float* u,
                                            const float* thresholds, float* y,
                                            std::size_t batch,
                                            std::size_t n) const {
+  charge(scaled(soft_threshold_cost(n, schedule_), batch));
   inner_.soft_threshold_batch(u, thresholds, y, batch, n);
-  linalg::charge(scaled(soft_threshold_cost(n, schedule_), batch));
 }
 
 void CountingBackend::soft_threshold_batch(const double* u,
                                            const double* thresholds, double* y,
                                            std::size_t batch,
                                            std::size_t n) const {
+  charge(scaled(soft_threshold_cost(n, schedule_), batch));
   inner_.soft_threshold_batch(u, thresholds, y, batch, n);
-  linalg::charge(scaled(soft_threshold_cost(n, schedule_), batch));
 }
 
 void CountingBackend::group_soft_threshold_batch(const float* u, float t,
                                                  float* y, std::size_t leads,
                                                  std::size_t n) const {
+  charge(group_soft_threshold_cost(leads, n, schedule_));
   inner_.group_soft_threshold_batch(u, t, y, leads, n);
-  linalg::charge(group_soft_threshold_cost(leads, n, schedule_));
 }
 
 void CountingBackend::group_soft_threshold_batch(const double* u, double t,
                                                  double* y, std::size_t leads,
                                                  std::size_t n) const {
+  charge(group_soft_threshold_cost(leads, n, schedule_));
   inner_.group_soft_threshold_batch(u, t, y, leads, n);
-  linalg::charge(group_soft_threshold_cost(leads, n, schedule_));
 }
 
 void CountingBackend::dot_batch(const float* a, const float* b, float* out,
                                 std::size_t batch, std::size_t n) const {
+  charge(scaled(dot_cost(n, schedule_), batch));
   inner_.dot_batch(a, b, out, batch, n);
-  linalg::charge(scaled(dot_cost(n, schedule_), batch));
 }
 
 void CountingBackend::dot_batch(const double* a, const double* b, double* out,
                                 std::size_t batch, std::size_t n) const {
+  charge(scaled(dot_cost(n, schedule_), batch));
   inner_.dot_batch(a, b, out, batch, n);
-  linalg::charge(scaled(dot_cost(n, schedule_), batch));
 }
 
 void CountingBackend::axpy_batch(float alpha, const float* x, float* y,
                                  std::size_t batch, std::size_t n) const {
+  charge(scaled(axpy_cost(n, schedule_), batch));
   inner_.axpy_batch(alpha, x, y, batch, n);
-  linalg::charge(scaled(axpy_cost(n, schedule_), batch));
 }
 
 void CountingBackend::axpy_batch(double alpha, const double* x, double* y,
                                  std::size_t batch, std::size_t n) const {
+  charge(scaled(axpy_cost(n, schedule_), batch));
   inner_.axpy_batch(alpha, x, y, batch, n);
-  linalg::charge(scaled(axpy_cost(n, schedule_), batch));
 }
 
 void CountingBackend::subtract_batch(const float* a, const float* b,
                                      float* out, std::size_t batch,
                                      std::size_t n) const {
+  charge(scaled(subtract_cost(n, schedule_), batch));
   inner_.subtract_batch(a, b, out, batch, n);
-  linalg::charge(scaled(subtract_cost(n, schedule_), batch));
 }
 
 void CountingBackend::subtract_batch(const double* a, const double* b,
                                      double* out, std::size_t batch,
                                      std::size_t n) const {
+  charge(scaled(subtract_cost(n, schedule_), batch));
   inner_.subtract_batch(a, b, out, batch, n);
-  linalg::charge(scaled(subtract_cost(n, schedule_), batch));
 }
 
 void CountingBackend::copy_batch(const float* x, float* out,
                                  std::size_t batch, std::size_t n) const {
+  charge(scaled(copy_cost(n, schedule_), batch));
   inner_.copy_batch(x, out, batch, n);
-  linalg::charge(scaled(copy_cost(n, schedule_), batch));
 }
 
 void CountingBackend::copy_batch(const double* x, double* out,
                                  std::size_t batch, std::size_t n) const {
+  charge(scaled(copy_cost(n, schedule_), batch));
   inner_.copy_batch(x, out, batch, n);
-  linalg::charge(scaled(copy_cost(n, schedule_), batch));
 }
 
 void CountingBackend::norm1_batch(const float* x, float* out,
                                   std::size_t batch, std::size_t n) const {
+  charge(scaled(norm1_cost(n, schedule_), batch));
   inner_.norm1_batch(x, out, batch, n);
-  linalg::charge(scaled(norm1_cost(n, schedule_), batch));
 }
 
 void CountingBackend::norm1_batch(const double* x, double* out,
                                   std::size_t batch, std::size_t n) const {
+  charge(scaled(norm1_cost(n, schedule_), batch));
   inner_.norm1_batch(x, out, batch, n);
-  linalg::charge(scaled(norm1_cost(n, schedule_), batch));
-}
-
-void CountingBackend::dwt_analysis_batch(
-    const float* ext, const float* h0, const float* h1, float* out_a,
-    float* out_d, std::size_t batch, std::size_t half_n, std::size_t taps,
-    std::size_t ext_stride, std::size_t a_stride, std::size_t d_stride) const {
-  inner_.dwt_analysis_batch(ext, h0, h1, out_a, out_d, batch, half_n, taps,
-                            ext_stride, a_stride, d_stride);
-  linalg::charge(scaled(dual_band_analysis_cost(half_n, taps, schedule_),
-                        batch));
-}
-
-void CountingBackend::dwt_analysis_batch(
-    const double* ext, const double* h0, const double* h1, double* out_a,
-    double* out_d, std::size_t batch, std::size_t half_n, std::size_t taps,
-    std::size_t ext_stride, std::size_t a_stride, std::size_t d_stride) const {
-  inner_.dwt_analysis_batch(ext, h0, h1, out_a, out_d, batch, half_n, taps,
-                            ext_stride, a_stride, d_stride);
-  linalg::charge(scaled(dual_band_analysis_cost(half_n, taps, schedule_),
-                        batch));
-}
-
-void CountingBackend::dwt_synthesis_batch(
-    const float* approx, const float* detail, const float* f0, const float* f1,
-    float* x_ext, std::size_t batch, std::size_t half_n, std::size_t taps,
-    std::size_t a_stride, std::size_t d_stride, std::size_t ext_stride) const {
-  inner_.dwt_synthesis_batch(approx, detail, f0, f1, x_ext, batch, half_n,
-                             taps, a_stride, d_stride, ext_stride);
-  linalg::charge(scaled(dual_band_synthesis_cost(half_n, taps, schedule_),
-                        batch));
-}
-
-void CountingBackend::dwt_synthesis_batch(
-    const double* approx, const double* detail, const double* f0,
-    const double* f1, double* x_ext, std::size_t batch, std::size_t half_n,
-    std::size_t taps, std::size_t a_stride, std::size_t d_stride,
-    std::size_t ext_stride) const {
-  inner_.dwt_synthesis_batch(approx, detail, f0, f1, x_ext, batch, half_n,
-                             taps, a_stride, d_stride, ext_stride);
-  linalg::charge(scaled(dual_band_synthesis_cost(half_n, taps, schedule_),
-                        batch));
 }
 
 const CountingBackend& counting_scalar_backend() {
-  static const CountingBackend instance(scalar_backend());
+  static const CountingBackend instance(reference_backend(),
+                                        KernelMode::kScalar);
   return instance;
 }
 
 const CountingBackend& counting_simd4_backend() {
-  static const CountingBackend instance(simd4_backend());
+  static const CountingBackend instance(reference_backend(),
+                                        KernelMode::kSimd4);
   return instance;
 }
 

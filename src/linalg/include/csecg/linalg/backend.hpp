@@ -4,32 +4,25 @@
 /// \file backend.hpp
 /// The single kernel dispatch layer of the numeric stack.
 ///
-/// Every dense primitive the decoder touches — copy/axpy/subtract/scale,
-/// dot and the norms, the Fig-4 soft threshold and the Fig-5 dual-band
-/// filter nests — is a virtual on `Backend`, in both float and double.
-/// Four implementations exist:
+/// Every dense primitive the decoder touches — copy/subtract, dot and the
+/// norms, the Fig-4 soft threshold, the wavelet filter-bank steps and their
+/// panel forms — is a virtual on `Backend`, in both float and double. Two
+/// kernel sets execute:
 ///
-///   kReference — straightforward templated loops (the vector_ops
-///                semantics); the numerical ground truth.
-///   kScalar    — the paper's pre-optimisation Cortex-A8 VFP schedule
-///                (§IV-B.a): plain loops, branchy soft-threshold sign.
-///   kSimd4     — the paper's NEON schedule: explicit 4-lane blocking with
-///                loop peeling (Fig 3), comparison-as-value sign (Fig 4),
-///                outer-loop vectorisation of the filter nests (Fig 5).
+///   kReference — straightforward templated loops; the numerical oracle
+///                and the library default.
 ///   kNative    — real width-agnostic SIMD for the host, built on
-///                GCC/Clang vector extensions (8 float / 4 double lanes);
-///                compiled only when CSECG_NATIVE_SIMD is on and the
-///                compiler supports it, otherwise it falls back to the
-///                reference loops.
+///                GCC/Clang vector extensions; compiled only when
+///                CSECG_NATIVE_SIMD is on and the compiler supports it,
+///                otherwise it falls back to the reference loops.
 ///
-/// kScalar and kSimd4 are *models*: faithful C++ renderings of the two
-/// iPhone 3GS code shapes whose operation mix, priced by
-/// platform::CortexA8Model, regenerates the paper's 2.43x speed-up. They
-/// carry no instrumentation themselves; to count operations, wrap either
-/// in a CountingBackend, which forwards every call to the wrapped
-/// schedule and charges the §IV-B cost formulas to the active
-/// OpCounterScope. The hot path of a plain backend has no counter branch
-/// at all.
+/// The paper's two iPhone 3GS code shapes (§IV-B: the VFP loops and the
+/// NEON 4-lane schedule) are priced, not executed. A CountingBackend
+/// forwards every call to the kernel set it wraps and charges the chosen
+/// KernelMode's cost formulas — a function of the sizes alone — to the
+/// active OpCounterScope; platform::CortexA8Model turns that mix into the
+/// paper's 2.43x speed-up. The hot path of a plain backend has no counter
+/// branch at all.
 ///
 /// Solvers, operators and the wavelet transform take a `const Backend&`
 /// (or a pointer in their options structs) instead of threading a raw
@@ -42,11 +35,11 @@
 
 namespace csecg::linalg {
 
-/// Which implementation a Backend provides.
+class CountingBackend;
+
+/// Which kernel set a Backend executes.
 enum class BackendKind {
   kReference,  ///< templated reference loops (ground truth)
-  kScalar,     ///< §IV-B.a VFP schedule model
-  kSimd4,      ///< §IV-B NEON 4-lane schedule model
   kNative,     ///< host-native wide SIMD (vector extensions)
 };
 
@@ -64,23 +57,13 @@ class Backend {
   // -- float kernels ------------------------------------------------------
   /// Dot product <a, b> over n elements.
   virtual float dot(const float* a, const float* b, std::size_t n) const = 0;
-  /// y[i] += alpha * x[i]; the workhorse MAC loop of the gradient step.
-  virtual void axpy(float alpha, const float* x, float* y,
-                    std::size_t n) const = 0;
-  /// d[i] = a[i] + b[i] * c[i] — the multiply-accumulate example of §IV-B.a.
-  virtual void fused_multiply_add(const float* a, const float* b,
-                                  const float* c, float* d,
-                                  std::size_t n) const = 0;
   /// out[i] = a[i] - b[i].
   virtual void subtract(const float* a, const float* b, float* out,
                         std::size_t n) const = 0;
   /// out[i] = x[i]. Pure data movement; counted (n loads + n stores, no
   /// ALU work) so solver bookkeeping copies stay visible to the model.
   virtual void copy(const float* x, float* out, std::size_t n) const = 0;
-  /// x[i] *= alpha.
-  virtual void scale(float alpha, float* x, std::size_t n) const = 0;
-  /// y[i] = sign(u[i]) * max(|u[i]| - t, 0). kScalar keeps the original
-  /// if/else chain; kSimd4 uses the Fig-4 comparison-as-value sign.
+  /// y[i] = sign(u[i]) * max(|u[i]| - t, 0).
   virtual void soft_threshold(const float* u, float t, float* y,
                               std::size_t n) const = 0;
   /// Sum of |x[i]|.
@@ -88,13 +71,6 @@ class Backend {
   /// Max of |x[i]| (0 for n == 0). Never charged by CountingBackend: the
   /// decoder's lambda calibration read has always been outside the model.
   virtual float norm_inf(const float* x, std::size_t n) const = 0;
-  /// The §IV-B.b two-output filter nest:
-  ///   out_l[i] = sum_j t_in[i + j] * h0[j]
-  ///   out_h[i] = sum_j t_in[i + j] * h1[j]
-  /// t_in must have count + taps - 1 readable elements.
-  virtual void dual_band_filter(const float* t_in, const float* h0,
-                                const float* h1, float* out_l, float* out_h,
-                                std::size_t count, std::size_t taps) const = 0;
   /// Decimating two-band analysis step of the wavelet filter bank:
   ///   out_a[i] = sum_j ext[2i + j] * h0[j]
   ///   out_d[i] = sum_j ext[2i + j] * h1[j]
@@ -106,34 +82,24 @@ class Backend {
   /// Two-band synthesis (inverse filter bank) accumulation:
   ///   x_ext[2i + j] += approx[i] * f0[j] + detail[i] * f1[j]
   /// over 2 * half_n + taps - 1 elements of x_ext. Every cell adds its
-  /// terms onto its current value in ascending i, so all schedules give
-  /// the reference's bits for any initial x_ext (the transform passes
-  /// zeros).
+  /// terms onto its current value in ascending i, so both kernel sets
+  /// give the reference's bits for any initial x_ext (the transform
+  /// passes zeros).
   virtual void dual_band_synthesis(const float* approx, const float* detail,
                                    const float* f0, const float* f1,
                                    float* x_ext, std::size_t half_n,
                                    std::size_t taps) const = 0;
 
-  // -- double kernels (same vocabulary, same schedules) --------------------
+  // -- double kernels (same vocabulary) ------------------------------------
   virtual double dot(const double* a, const double* b,
                      std::size_t n) const = 0;
-  virtual void axpy(double alpha, const double* x, double* y,
-                    std::size_t n) const = 0;
-  virtual void fused_multiply_add(const double* a, const double* b,
-                                  const double* c, double* d,
-                                  std::size_t n) const = 0;
   virtual void subtract(const double* a, const double* b, double* out,
                         std::size_t n) const = 0;
   virtual void copy(const double* x, double* out, std::size_t n) const = 0;
-  virtual void scale(double alpha, double* x, std::size_t n) const = 0;
   virtual void soft_threshold(const double* u, double t, double* y,
                               std::size_t n) const = 0;
   virtual double norm1(const double* x, std::size_t n) const = 0;
   virtual double norm_inf(const double* x, std::size_t n) const = 0;
-  virtual void dual_band_filter(const double* t_in, const double* h0,
-                                const double* h1, double* out_l,
-                                double* out_h, std::size_t count,
-                                std::size_t taps) const = 0;
   virtual void dual_band_analysis(const double* ext, const double* h0,
                                   const double* h1, double* out_a,
                                   double* out_d, std::size_t half_n,
@@ -143,9 +109,9 @@ class Backend {
                                    double* x_ext, std::size_t half_n,
                                    std::size_t taps) const = 0;
 
-  // -- derived + batched kernels ------------------------------------------
-  /// Squared Euclidean norm; an alias of dot(r, r) in every schedule (and
-  /// charged as one), matching the original instrumented kernels.
+  // -- derived kernels -----------------------------------------------------
+  /// Squared Euclidean norm; an alias of dot(r, r) (and charged as one),
+  /// matching the original instrumented kernels.
   float norm2_squared(const float* r, std::size_t n) const {
     return dot(r, r, n);
   }
@@ -160,7 +126,7 @@ class Backend {
   //   * Elementwise panels (axpy/subtract/copy/soft_threshold) may use any
   //     traversal — flat, blocked, per-row — because per-element arithmetic
   //     is independent; every implementation is bitwise-identical to the
-  //     row-by-row loop over the single-vector kernel.
+  //     row-by-row loop over the single-row kernel.
   //   * Reduction panels (dot_batch/norm1_batch) MUST accumulate each row
   //     in the same order as the single-vector kernel so per-row results
   //     stay bitwise-identical; only the row loop itself is batched.
@@ -168,19 +134,15 @@ class Backend {
   //     per-row cost formula — byte-identical to the sequential schedule
   //     (a flat cost over batch*n would mis-count the per-row 4-lane
   //     tails).
-  //
-  // Defaults walk rows through the single-vector virtuals; the Ops-backed
-  // implementations override with flat sweeps (elementwise) or
-  // devirtualised row loops (reductions, filter banks).
 
   /// Batched soft threshold over `batch` packed rows of n elements with a
   /// per-row threshold.
   virtual void soft_threshold_batch(const float* u, const float* thresholds,
                                     float* y, std::size_t batch,
-                                    std::size_t n) const;
+                                    std::size_t n) const = 0;
   virtual void soft_threshold_batch(const double* u, const double* thresholds,
                                     double* y, std::size_t batch,
-                                    std::size_t n) const;
+                                    std::size_t n) const = 0;
   /// Group (row-wise l2) shrink over `leads` packed rows of n elements
   /// sharing one threshold — the proximal step of the group-lasso
   /// objective joint multi-lead recovery minimises. At each position i
@@ -193,86 +155,43 @@ class Backend {
   /// sign(u) * max(|u|-t, 0).
   virtual void group_soft_threshold_batch(const float* u, float t, float* y,
                                           std::size_t leads,
-                                          std::size_t n) const;
+                                          std::size_t n) const = 0;
   virtual void group_soft_threshold_batch(const double* u, double t, double* y,
                                           std::size_t leads,
-                                          std::size_t n) const;
+                                          std::size_t n) const = 0;
   /// Per-row dot products over packed rows: out[b] = <a_row_b, b_row_b>.
   virtual void dot_batch(const float* a, const float* b, float* out,
-                         std::size_t batch, std::size_t n) const;
+                         std::size_t batch, std::size_t n) const = 0;
   virtual void dot_batch(const double* a, const double* b, double* out,
-                         std::size_t batch, std::size_t n) const;
+                         std::size_t batch, std::size_t n) const = 0;
   /// y_row_b[i] += alpha * x_row_b[i] with one shared alpha (the batched
   /// gradient step: every row shares -2*step).
   virtual void axpy_batch(float alpha, const float* x, float* y,
-                          std::size_t batch, std::size_t n) const;
+                          std::size_t batch, std::size_t n) const = 0;
   virtual void axpy_batch(double alpha, const double* x, double* y,
-                          std::size_t batch, std::size_t n) const;
+                          std::size_t batch, std::size_t n) const = 0;
   /// out_row_b[i] = a_row_b[i] - b_row_b[i].
   virtual void subtract_batch(const float* a, const float* b, float* out,
-                              std::size_t batch, std::size_t n) const;
+                              std::size_t batch, std::size_t n) const = 0;
   virtual void subtract_batch(const double* a, const double* b, double* out,
-                              std::size_t batch, std::size_t n) const;
+                              std::size_t batch, std::size_t n) const = 0;
   /// out_row_b[i] = x_row_b[i].
   virtual void copy_batch(const float* x, float* out, std::size_t batch,
-                          std::size_t n) const;
+                          std::size_t n) const = 0;
   virtual void copy_batch(const double* x, double* out, std::size_t batch,
-                          std::size_t n) const;
+                          std::size_t n) const = 0;
   /// Per-row l1 norms: out[b] = sum_i |x_row_b[i]|.
   virtual void norm1_batch(const float* x, float* out, std::size_t batch,
-                           std::size_t n) const;
+                           std::size_t n) const = 0;
   virtual void norm1_batch(const double* x, double* out, std::size_t batch,
-                           std::size_t n) const;
-  /// Panel form of dual_band_analysis: one decimating analysis step per
-  /// row, rows strided independently on each side so the wavelet layout
-  /// (detail written into the coefficient vector at the window stride)
-  /// needs no repacking. Row b reads ext + b*ext_stride and writes
-  /// out_a + b*a_stride / out_d + b*d_stride.
-  virtual void dwt_analysis_batch(const float* ext, const float* h0,
-                                  const float* h1, float* out_a, float* out_d,
-                                  std::size_t batch, std::size_t half_n,
-                                  std::size_t taps, std::size_t ext_stride,
-                                  std::size_t a_stride,
-                                  std::size_t d_stride) const;
-  virtual void dwt_analysis_batch(const double* ext, const double* h0,
-                                  const double* h1, double* out_a,
-                                  double* out_d, std::size_t batch,
-                                  std::size_t half_n, std::size_t taps,
-                                  std::size_t ext_stride, std::size_t a_stride,
-                                  std::size_t d_stride) const;
-  /// Panel form of dual_band_synthesis; x_ext rows accumulate as in the
-  /// single-row kernel, same per-side strides as the analysis panel.
-  virtual void dwt_synthesis_batch(const float* approx, const float* detail,
-                                   const float* f0, const float* f1,
-                                   float* x_ext, std::size_t batch,
-                                   std::size_t half_n, std::size_t taps,
-                                   std::size_t a_stride, std::size_t d_stride,
-                                   std::size_t ext_stride) const;
-  virtual void dwt_synthesis_batch(const double* approx, const double* detail,
-                                   const double* f0, const double* f1,
-                                   double* x_ext, std::size_t batch,
-                                   std::size_t half_n, std::size_t taps,
-                                   std::size_t a_stride, std::size_t d_stride,
-                                   std::size_t ext_stride) const;
+                           std::size_t n) const = 0;
 
-  // -- accounting hooks ----------------------------------------------------
-  /// True only for CountingBackend. Lets callers that charge composite
-  /// costs (sparse operator applies, solver bookkeeping loops) skip the
+  // -- accounting hook -----------------------------------------------------
+  /// The CountingBackend itself, or nullptr on a plain backend. Callers
+  /// that charge composite costs (sparse operator applies, solver
+  /// bookkeeping loops) price them against its schedule() and skip the
   /// bookkeeping entirely on plain backends.
-  virtual bool counting() const { return false; }
-  /// Which §IV-B cost schedule composite charges should price against:
-  /// plain-loop backends (reference, scalar) map to kScalar, wide ones
-  /// (simd4, native) to kSimd4. CountingBackend answers for its wrapped
-  /// schedule.
-  virtual KernelMode counted_schedule() const {
-    const BackendKind k = kind();
-    return (k == BackendKind::kScalar || k == BackendKind::kReference)
-               ? KernelMode::kScalar
-               : KernelMode::kSimd4;
-  }
-  /// Adds an externally computed operation mix to the active
-  /// OpCounterScope. No-op on plain backends.
-  virtual void charge(const OpCounts& delta) const { (void)delta; }
+  virtual const CountingBackend* counting() const { return nullptr; }
 };
 
 /// Shared singletons. When native SIMD is compiled out
@@ -281,55 +200,46 @@ class Backend {
 /// asking for "native" degrade to correct portable loops; check
 /// native_simd_available() to know which you got.
 const Backend& reference_backend();
-const Backend& scalar_backend();
-const Backend& simd4_backend();
 const Backend& native_backend();
 
-/// Library-wide default: the §IV-B NEON schedule model (kSimd4), i.e. the
-/// decoder the paper actually shipped. Tools default to native instead.
+/// Library-wide default: the reference loops, the numerical oracle.
+/// Tools default to native instead.
 const Backend& default_backend();
 
 /// True when the kNative implementation was compiled (CSECG_NATIVE_SIMD
 /// on a compiler with vector-extension support).
 bool native_simd_available();
 
-/// Maps "reference" | "scalar" | "simd4" | "native" to a backend
-/// singleton; nullptr for anything else.
+/// Maps "reference" | "native" to a backend singleton; nullptr for
+/// anything else.
 const Backend* backend_by_name(std::string_view name);
 
-/// Decorator that forwards every kernel to a wrapped schedule and charges
-/// the §IV-B operation-mix formulas to the active OpCounterScope. Wrap
-/// scalar_backend()/simd4_backend() to reproduce the exact counts the
-/// original instrumented kernels recorded (the Cortex-A8 model's input);
-/// wrapping reference/native prices their work as the closest modelled
-/// schedule (scalar for reference, simd4 for native).
+/// Decorator that forwards every kernel to a wrapped kernel set and
+/// charges the §IV-B operation-mix formulas of \p schedule to the active
+/// OpCounterScope — the Cortex-A8 model's input. The charge depends only
+/// on the kernel sizes and the schedule, never on what executes, so
+/// counting over reference or native loops prices the same mix.
 class CountingBackend final : public Backend {
  public:
-  explicit CountingBackend(const Backend& inner);
+  /// The one-argument form prices the NEON schedule the paper shipped.
+  explicit CountingBackend(const Backend& inner,
+                           KernelMode schedule = KernelMode::kSimd4);
 
   const Backend& inner() const { return inner_; }
+  /// The §IV-B schedule every charge is priced against.
+  KernelMode schedule() const { return schedule_; }
   BackendKind kind() const override { return inner_.kind(); }
   const char* name() const override { return name_; }
-  bool counting() const override { return true; }
-  KernelMode counted_schedule() const override { return schedule_; }
-  void charge(const OpCounts& delta) const override;
+  const CountingBackend* counting() const override { return this; }
 
   float dot(const float* a, const float* b, std::size_t n) const override;
-  void axpy(float alpha, const float* x, float* y,
-            std::size_t n) const override;
-  void fused_multiply_add(const float* a, const float* b, const float* c,
-                          float* d, std::size_t n) const override;
   void subtract(const float* a, const float* b, float* out,
                 std::size_t n) const override;
   void copy(const float* x, float* out, std::size_t n) const override;
-  void scale(float alpha, float* x, std::size_t n) const override;
   void soft_threshold(const float* u, float t, float* y,
                       std::size_t n) const override;
   float norm1(const float* x, std::size_t n) const override;
   float norm_inf(const float* x, std::size_t n) const override;
-  void dual_band_filter(const float* t_in, const float* h0, const float* h1,
-                        float* out_l, float* out_h, std::size_t count,
-                        std::size_t taps) const override;
   void dual_band_analysis(const float* ext, const float* h0, const float* h1,
                           float* out_a, float* out_d, std::size_t half_n,
                           std::size_t taps) const override;
@@ -338,21 +248,13 @@ class CountingBackend final : public Backend {
                            std::size_t half_n, std::size_t taps) const override;
 
   double dot(const double* a, const double* b, std::size_t n) const override;
-  void axpy(double alpha, const double* x, double* y,
-            std::size_t n) const override;
-  void fused_multiply_add(const double* a, const double* b, const double* c,
-                          double* d, std::size_t n) const override;
   void subtract(const double* a, const double* b, double* out,
                 std::size_t n) const override;
   void copy(const double* x, double* out, std::size_t n) const override;
-  void scale(double alpha, double* x, std::size_t n) const override;
   void soft_threshold(const double* u, double t, double* y,
                       std::size_t n) const override;
   double norm1(const double* x, std::size_t n) const override;
   double norm_inf(const double* x, std::size_t n) const override;
-  void dual_band_filter(const double* t_in, const double* h0,
-                        const double* h1, double* out_l, double* out_h,
-                        std::size_t count, std::size_t taps) const override;
   void dual_band_analysis(const double* ext, const double* h0,
                           const double* h1, double* out_a, double* out_d,
                           std::size_t half_n, std::size_t taps) const override;
@@ -360,9 +262,9 @@ class CountingBackend final : public Backend {
                            const double* f0, const double* f1, double* x_ext,
                            std::size_t half_n, std::size_t taps) const override;
 
-  // Panel kernels forward to the wrapped schedule's panel implementation
-  // and charge batch x the per-row cost — byte-identical to running the
-  // sequential schedule row by row.
+  // Panel kernels forward to the wrapped panel implementation and charge
+  // batch x the per-row cost — byte-identical to running the sequential
+  // schedule row by row.
   void soft_threshold_batch(const float* u, const float* thresholds, float* y,
                             std::size_t batch, std::size_t n) const override;
   void soft_threshold_batch(const double* u, const double* thresholds,
@@ -394,38 +296,15 @@ class CountingBackend final : public Backend {
                    std::size_t n) const override;
   void norm1_batch(const double* x, double* out, std::size_t batch,
                    std::size_t n) const override;
-  void dwt_analysis_batch(const float* ext, const float* h0, const float* h1,
-                          float* out_a, float* out_d, std::size_t batch,
-                          std::size_t half_n, std::size_t taps,
-                          std::size_t ext_stride, std::size_t a_stride,
-                          std::size_t d_stride) const override;
-  void dwt_analysis_batch(const double* ext, const double* h0,
-                          const double* h1, double* out_a, double* out_d,
-                          std::size_t batch, std::size_t half_n,
-                          std::size_t taps, std::size_t ext_stride,
-                          std::size_t a_stride,
-                          std::size_t d_stride) const override;
-  void dwt_synthesis_batch(const float* approx, const float* detail,
-                           const float* f0, const float* f1, float* x_ext,
-                           std::size_t batch, std::size_t half_n,
-                           std::size_t taps, std::size_t a_stride,
-                           std::size_t d_stride,
-                           std::size_t ext_stride) const override;
-  void dwt_synthesis_batch(const double* approx, const double* detail,
-                           const double* f0, const double* f1, double* x_ext,
-                           std::size_t batch, std::size_t half_n,
-                           std::size_t taps, std::size_t a_stride,
-                           std::size_t d_stride,
-                           std::size_t ext_stride) const override;
 
  private:
   const Backend& inner_;
   KernelMode schedule_;
-  char name_[32];
+  char name_[40];
 };
 
-/// Shared counting singletons for the two modelled schedules — what the
-/// Cortex-A8 benches compose: Counting(Scalar) and Counting(Simd4).
+/// Shared counting singletons for the two §IV-B schedules over the
+/// reference loops — what the Cortex-A8 benches compose.
 const CountingBackend& counting_scalar_backend();
 const CountingBackend& counting_simd4_backend();
 

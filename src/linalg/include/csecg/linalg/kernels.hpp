@@ -7,13 +7,14 @@
 /// The iPhone 3GS decoder was written twice: a plain scalar version
 /// executed on the Cortex-A8 VFP (18–21 cycles per single-precision
 /// multiply-accumulate) and a NEON-vectorised version operating on 4-float
-/// lanes (2 MACs per cycle). Both schedules live in backend.hpp as the
-/// kScalar and kSimd4 backends; this header holds the vocabulary the
-/// platform::CortexA8Model prices — KernelMode (which schedule a cost was
-/// measured against), the OpCounts operation mix, and the thread-local
-/// OpCounterScope that a CountingBackend charges into. This is what lets
-/// the benches regenerate the paper's 2.43x speed-up and its CPU-usage
-/// and iteration-budget numbers without the physical phone.
+/// lanes (2 MACs per cycle). Neither schedule is executed: a
+/// CountingBackend (backend.hpp) prices whatever kernels run as one of
+/// them. This header holds the vocabulary the platform::CortexA8Model
+/// prices — KernelMode (which schedule a cost is priced against), the
+/// OpCounts operation mix, and the thread-local OpCounterScope that a
+/// CountingBackend charges into. This is what lets the benches regenerate
+/// the paper's 2.43x speed-up and its CPU-usage and iteration-budget
+/// numbers without the physical phone.
 
 #include <cstddef>
 #include <cstdint>

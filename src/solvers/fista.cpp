@@ -21,18 +21,19 @@ inline const linalg::Backend& resolve_backend(const ShrinkageOptions& options) {
 /// the loop's loads and stores. No-op on plain backends.
 void charge_loop(const linalg::Backend& be, std::uint64_t ops,
                  std::uint64_t loads, std::uint64_t stores) {
-  if (!be.counting()) {
+  const linalg::CountingBackend* counter = be.counting();
+  if (counter == nullptr) {
     return;
   }
   linalg::OpCounts c;
-  if (be.counted_schedule() == linalg::KernelMode::kScalar) {
+  if (counter->schedule() == linalg::KernelMode::kScalar) {
     c.scalar_op = ops;
   } else {
     c.vector_op4 = ops / 4;
   }
   c.loads = loads;
   c.stores = stores;
-  be.charge(c);
+  linalg::charge(c);
 }
 
 /// The one shrinkage engine behind fista(), ista() and fista_panel().

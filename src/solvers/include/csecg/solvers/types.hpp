@@ -24,11 +24,11 @@ struct ShrinkageOptions {
   std::optional<double> sigma;
   /// Lipschitz constant of grad f; estimated by power iteration if unset.
   std::optional<double> lipschitz;
-  /// Kernel backend the solve runs through — both precisions execute the
-  /// same schedule (§IV-B optimisation study). Null = the library default
-  /// (the simd4 NEON model). Wrap in a CountingBackend to collect the op
-  /// mix. Must point at a backend that outlives the solve; the shared
-  /// singletons from linalg/backend.hpp always do.
+  /// Kernel backend the solve runs through, in both precisions. Null =
+  /// the library default (the reference loops). Wrap in a CountingBackend
+  /// to price the op mix as a §IV-B schedule. Must point at a backend
+  /// that outlives the solve; the shared singletons from
+  /// linalg/backend.hpp always do.
   const linalg::Backend* backend = nullptr;
   /// Record the objective F(a_k) each iteration (convergence benches).
   bool record_objective = false;

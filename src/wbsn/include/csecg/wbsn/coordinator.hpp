@@ -47,9 +47,10 @@ struct CoordinatorStats {
 
 /// The Coordinator always decodes through a CountingBackend wrapped
 /// around the configured kernel backend (config.backend, or the library
-/// default §IV-B simd4 schedule), so every window's op mix feeds the
-/// Cortex-A8 cycle model. Pass a plain backend — wrapping a counting one
-/// would double-charge.
+/// default reference loops), so every window's op mix feeds the
+/// Cortex-A8 cycle model. It prices the §IV-B NEON schedule whichever
+/// kernels execute. Pass a plain backend — wrapping a counting one would
+/// double-charge.
 class Coordinator {
  public:
   using FrameResult = core::Decoder::FrameOutcome;
@@ -69,7 +70,7 @@ class Coordinator {
 
   /// Re-seats the decode kernels on \p backend (a plain backend — the
   /// coordinator adds its own counting decorator). Lets receivers that
-  /// bootstrapped from an in-band profile still pick a schedule.
+  /// bootstrapped from an in-band profile still pick their kernels.
   void set_backend(const linalg::Backend& backend);
 
   /// Receiver-side prior policy (warm starts / weighted l1 / support

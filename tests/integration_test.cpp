@@ -68,12 +68,13 @@ TEST(IntegrationTest, FloatAndDoubleReconstructionAgree) {
 }
 
 TEST(IntegrationTest, ScalarAndVectorisedDecodersAgreeNumerically) {
-  // The §IV-B optimisation must not change results, only speed.
+  // Vectorising the kernels must not change results, only speed: the
+  // plain reference loops against the host's wide-SIMD kernels.
   const auto& db = shared_db();
   core::DecoderConfig scalar_config;
-  scalar_config.backend = &linalg::scalar_backend();
+  scalar_config.backend = &linalg::reference_backend();
   core::DecoderConfig simd_config;
-  simd_config.backend = &linalg::simd4_backend();
+  simd_config.backend = &linalg::native_backend();
   core::CsEcgCodec scalar_codec(scalar_config, shared_codebook());
   core::CsEcgCodec simd_codec(simd_config, shared_codebook());
   const auto rs = scalar_codec.run_record<float>(db.mote(1));

@@ -447,8 +447,9 @@ TEST(KernelOpMixTest, FistaPerIterationCostIsStable) {
     return scope.counts();
   };
 
-  for (const linalg::Backend* be : {&linalg::counting_scalar_backend(),
-                                    &linalg::counting_simd4_backend()}) {
+  for (const linalg::CountingBackend* be :
+       {&linalg::counting_scalar_backend(),
+        &linalg::counting_simd4_backend()}) {
     const auto c1 = run(1, *be);
     const auto c2 = run(2, *be);
     const auto c3 = run(3, *be);
@@ -468,7 +469,7 @@ TEST(KernelOpMixTest, FistaPerIterationCostIsStable) {
     const std::size_t n = op.cols();
     EXPECT_GE(step_a[6], 3 * n);
     // The scalar schedule must not charge vector lanes and vice versa.
-    if (be->kind() == linalg::BackendKind::kScalar) {
+    if (be->schedule() == linalg::KernelMode::kScalar) {
       EXPECT_EQ(step_a[2], 0u);
       EXPECT_EQ(step_a[3], 0u);
     } else {

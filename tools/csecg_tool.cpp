@@ -40,10 +40,10 @@
 //                       lighter demo: 1000 nodes, duty period 512,
 //                       queue 64, warmup/steady 64)
 //
-// Decoding commands accept `--backend reference|scalar|simd4|native`
-// (default native): which kernel schedule the FISTA reconstruction runs
-// through. `fleet --batch k` drains up to k frames per worker dispatch
-// and sweeps them through the batched solver in one kernel invocation.
+// Decoding commands accept `--backend reference|native` (default
+// native): which kernel set the FISTA reconstruction runs through.
+// `fleet --batch k` drains up to k frames per worker dispatch and sweeps
+// them through the batched solver in one kernel invocation.
 // `stream`/`fleet`/`gateway` accept `--leads L` (1..8, default 1): L > 1
 // switches the session to a StreamProfile-v2 lead group — all L leads
 // share one sensing seed and one wire sequence per window, and the
@@ -165,19 +165,17 @@ double get_double(const Args& args, const std::string& key,
   return it == args.end() ? fallback : std::stod(it->second);
 }
 
-/// `--backend reference|scalar|simd4|native` picks the kernel schedule
-/// the decoders run through. Default native: the host's widest correct
-/// SIMD (falls back to the reference loops when compiled out — the
-/// printed name says which you got). Always a plain backend; the
-/// pipeline's coordinator layers its own counting decorator when it
-/// prices the Cortex-A8 model.
+/// `--backend reference|native` picks the kernel set the decoders run
+/// through. Default native: the host's widest correct SIMD (falls back
+/// to the reference loops when compiled out — the printed name says
+/// which you got). Always a plain backend; the pipeline's coordinator
+/// layers its own counting decorator when it prices the Cortex-A8 model.
 const linalg::Backend& parse_backend(const Args& args) {
   const auto it = args.find("backend");
   const std::string name = it == args.end() ? "native" : it->second;
   const linalg::Backend* backend = linalg::backend_by_name(name);
   if (backend == nullptr) {
-    std::fprintf(stderr,
-                 "--backend must be reference|scalar|simd4|native\n");
+    std::fprintf(stderr, "--backend must be reference|native\n");
     std::exit(2);
   }
   return *backend;
