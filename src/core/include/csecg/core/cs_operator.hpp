@@ -10,6 +10,10 @@
 /// Because Psi is an orthonormal wavelet basis implemented as a filter
 /// bank and Phi is sparse binary, neither direction ever touches a dense
 /// N x N matrix — the paper's contribution (1).
+///
+/// The operator holds no mutable state: the time-domain intermediate
+/// lives in per-thread scratch, like the wavelet transform's, so const
+/// applies are safe from any number of threads over a shared Phi.
 
 #include "csecg/core/sensing_matrix.hpp"
 #include "csecg/dsp/dwt.hpp"
@@ -33,11 +37,12 @@ class CsOperator final : public linalg::LinearOperator<T> {
   void apply_adjoint(std::span<const T> r, std::span<T> alpha) const override;
 
   /// Panel forward model: each leg (inverse DWT, sparse projection) runs
-  /// once over the whole panel, so Phi's index table is traversed once
+  /// once over the whole panel, so Phi's index tables are traversed once
   /// per lane group of rows; the wavelet leg transforms row by row.
-  /// Bitwise identical per row to apply()/apply_adjoint(); the sparse
-  /// charge is batch x the per-row mix. A panel of one runs the
-  /// single-row path.
+  /// Bitwise identical per row to apply()/apply_adjoint(). The sparse
+  /// charge prices the paper's column schedule per lane group, whichever
+  /// table the host gathers over. A panel of one runs the single-row
+  /// path.
   void apply_batch(std::span<const T> alpha_flat, std::span<T> y_flat,
                    std::size_t batch) const override;
   void apply_adjoint_batch(std::span<const T> r_flat, std::span<T> alpha_flat,
@@ -45,8 +50,7 @@ class CsOperator final : public linalg::LinearOperator<T> {
 
   /// Re-validates the bound Phi/Psi after their contents were replaced in
   /// place (stream re-profiling swaps the decoder's sensing matrix and
-  /// wavelet frame under the same addresses) and resizes the scratch to
-  /// the new frame length.
+  /// wavelet frame under the same addresses).
   void rebind();
 
   const linalg::Backend& backend() const { return *backend_; }
@@ -58,8 +62,6 @@ class CsOperator final : public linalg::LinearOperator<T> {
   const SensingMatrix* phi_;
   const dsp::WaveletTransform* psi_;
   const linalg::Backend* backend_;
-  mutable std::vector<T> scratch_;        // time-domain intermediate
-  mutable std::vector<T> panel_scratch_;  // batch x length time-domain panel
 };
 
 }  // namespace csecg::core

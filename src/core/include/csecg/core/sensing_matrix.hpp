@@ -13,6 +13,12 @@
 /// All three share one type so benches can swap them symmetrically. The
 /// generator is seeded: the mote and the coordinator construct bit-exact
 /// copies from the shared seed instead of transmitting the matrix.
+///
+/// A sparse binary Phi is fully determined by (rows, cols, d, 16-bit
+/// seed), so every SensingMatrix of one geometry and seed shares a single
+/// immutable SparseBinaryMatrix, handed out by a process-wide cache while
+/// any holder is alive: a gateway serving many nodes on a few profiles
+/// keeps one Phi per profile, not one per node.
 
 #include <cstdint>
 #include <memory>
@@ -71,6 +77,7 @@ class SensingMatrix {
                              std::size_t batch) const;
 
   /// Sparse-binary integer path for the mote (throws for dense designs).
+  /// Matrices of equal geometry and 16-bit seed return the same object.
   const linalg::SparseBinaryMatrix& sparse() const;
   bool is_sparse() const { return sparse_ != nullptr; }
 
@@ -80,7 +87,7 @@ class SensingMatrix {
 
  private:
   SensingMatrixConfig config_;
-  std::unique_ptr<linalg::SparseBinaryMatrix> sparse_;
+  std::shared_ptr<const linalg::SparseBinaryMatrix> sparse_;
   std::unique_ptr<linalg::DenseMatrix<double>> dense_d_;
   std::unique_ptr<linalg::DenseMatrix<float>> dense_f_;
 };

@@ -1,12 +1,46 @@
 #include "csecg/core/sensing_matrix.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "csecg/core/mote_rng.hpp"
 #include "csecg/util/error.hpp"
 #include "csecg/util/rng.hpp"
 
 namespace csecg::core {
+
+namespace {
+
+/// The one immutable sparse Phi of a (rows, cols, d, 16-bit seed), built
+/// on first request and shared until its last holder lets go. Only the
+/// low 16 bits of the seed reach the mote's generator, so they are all
+/// the key needs.
+std::shared_ptr<const linalg::SparseBinaryMatrix> shared_sparse(
+    const SensingMatrixConfig& config) {
+  using Key = std::tuple<std::size_t, std::size_t, std::size_t, std::uint16_t>;
+  static std::mutex mutex;
+  static std::map<Key, std::weak_ptr<const linalg::SparseBinaryMatrix>> cache;
+  const auto seed = static_cast<std::uint16_t>(config.seed);
+  const Key key{config.rows, config.cols, config.d, seed};
+  std::lock_guard<std::mutex> lock(mutex);
+  if (const auto it = cache.find(key); it != cache.end()) {
+    if (auto shared = it->second.lock()) {
+      return shared;
+    }
+  }
+  // Materialise the same matrix the mote regenerates on the fly from the
+  // shared seed (see mote_rng.hpp).
+  auto built = std::make_shared<const linalg::SparseBinaryMatrix>(
+      config.rows, config.cols, config.d,
+      generate_sparse_indices(config.rows, config.cols, config.d, seed));
+  std::erase_if(cache, [](const auto& entry) { return entry.second.expired(); });
+  cache[key] = built;
+  return built;
+}
+
+}  // namespace
 
 std::string to_string(SensingMatrixType type) {
   switch (type) {
@@ -29,12 +63,7 @@ SensingMatrix::SensingMatrix(const SensingMatrixConfig& config)
   util::Rng rng(config.seed);
   switch (config.type) {
     case SensingMatrixType::kSparseBinary: {
-      // Materialise the same matrix the mote regenerates on the fly from
-      // the shared 16-bit seed (see mote_rng.hpp).
-      sparse_ = std::make_unique<linalg::SparseBinaryMatrix>(
-          config.rows, config.cols, config.d,
-          generate_sparse_indices(config.rows, config.cols, config.d,
-                                  static_cast<std::uint16_t>(config.seed)));
+      sparse_ = shared_sparse(config);
       break;
     }
     case SensingMatrixType::kGaussian: {

@@ -187,56 +187,58 @@ struct RefOps {
 
 #if CSECG_HAS_NATIVE_SIMD
 
-// The 32-byte vectors are passed only between always-inlined helpers in
-// this translation unit, so the psABI note about AVX calling conventions
-// is irrelevant here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
 // ---------------------------------------------------------------------------
 // kNative: real width-agnostic SIMD for the host via GCC/Clang vector
-// extensions — 32-byte vectors (8 float / 4 double lanes). Unaligned
-// access goes through memcpy, which the compiler folds into vector
-// load/store instructions. The elementwise kernels and dot get explicit
-// wide vectors. The wavelet filter bank (polyphase analysis,
-// gather synthesis) keeps several accumulators live across its tap loop,
-// and GCC holds a generic vector wider than the target's registers in
-// memory, so it runs 16-byte vectors, the baseline SSE2/NEON width.
+// extensions on 16-byte vectors (4 float / 2 double lanes), the baseline
+// SSE2/NEON width. GCC holds a generic vector wider than the target's
+// registers in memory, so a 32-byte vector on a build without -march
+// would put every accumulator update through a store and a reload.
+// Unaligned access goes through memcpy, which the compiler folds into
+// vector load/store instructions.
 // ---------------------------------------------------------------------------
 
-template <typename T, std::size_t Bytes = 32>
+template <typename T>
 struct NativeVec {
-  typedef T V __attribute__((vector_size(Bytes)));
-  static constexpr std::size_t kLanes = Bytes / sizeof(T);
+  typedef T V __attribute__((vector_size(16)));
+  static constexpr std::size_t kLanes = 16 / sizeof(T);
 };
 
-template <typename T, std::size_t Bytes = 32>
-inline typename NativeVec<T, Bytes>::V vload(const T* p) {
-  typename NativeVec<T, Bytes>::V v;
+template <typename T>
+inline typename NativeVec<T>::V vload(const T* p) {
+  typename NativeVec<T>::V v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
 
-template <typename T, std::size_t Bytes = 32>
-inline void vstore(T* p, typename NativeVec<T, Bytes>::V v) {
+template <typename T>
+inline void vstore(T* p, typename NativeVec<T>::V v) {
   __builtin_memcpy(p, &v, sizeof(v));
 }
 
 struct NativeOps {
   static constexpr const char* kName = "native";
 
+  // Two accumulators of W lanes stand in for one 2W-lane accumulator (8
+  // float / 4 double lanes): lane k sums the elements i = k (mod 2W) in
+  // ascending order, and the lanes are added 0 .. 2W-1 before the scalar
+  // tail, so the result does not depend on the vector width chosen.
   template <typename T>
   static T dot(const T* a, const T* b, std::size_t n) {
     using V = typename NativeVec<T>::V;
-    constexpr std::size_t L = NativeVec<T>::kLanes;
-    V acc{};
+    constexpr std::size_t W = NativeVec<T>::kLanes;
+    V lo{};
+    V hi{};
     std::size_t i = 0;
-    for (; i + L <= n; i += L) {
-      acc += vload<T>(a + i) * vload<T>(b + i);
+    for (; i + 2 * W <= n; i += 2 * W) {
+      lo += vload<T>(a + i) * vload<T>(b + i);
+      hi += vload<T>(a + i + W) * vload<T>(b + i + W);
     }
     T sum{};
-    for (std::size_t lane = 0; lane < L; ++lane) {
-      sum += acc[lane];
+    for (std::size_t lane = 0; lane < W; ++lane) {
+      sum += lo[lane];
+    }
+    for (std::size_t lane = 0; lane < W; ++lane) {
+      sum += hi[lane];
     }
     for (; i < n; ++i) {
       sum += a[i] * b[i];
@@ -356,8 +358,8 @@ struct NativeOps {
   static void dual_band_analysis(const T* ext, const T* h0, const T* h1,
                                  T* out_a, T* out_d, std::size_t half_n,
                                  std::size_t taps) {
-    using V = typename NativeVec<T, 16>::V;
-    constexpr std::size_t W = NativeVec<T, 16>::kLanes;
+    using V = typename NativeVec<T>::V;
+    constexpr std::size_t W = NativeVec<T>::kLanes;
     constexpr std::size_t kVectors = 4;
     constexpr std::size_t L = kVectors * W;
     if (half_n < L) {
@@ -382,14 +384,14 @@ struct NativeOps {
       for (std::size_t j = 0; j < taps; ++j) {
         const T* s = (j % 2 == 0 ? even : odd) + i + j / 2;
         for (std::size_t b = 0; b < kVectors; ++b) {
-          const V v = vload<T, 16>(s + b * W);
+          const V v = vload<T>(s + b * W);
           a[b] += v * h0[j];
           d[b] += v * h1[j];
         }
       }
       for (std::size_t b = 0; b < kVectors; ++b) {
-        vstore<T, 16>(out_a + i + b * W, a[b]);
-        vstore<T, 16>(out_d + i + b * W, d[b]);
+        vstore<T>(out_a + i + b * W, a[b]);
+        vstore<T>(out_d + i + b * W, d[b]);
       }
     }
     RefOps::dual_band_analysis(ext + 2 * i, h0, h1, out_a + i, out_d + i,
@@ -425,8 +427,8 @@ struct NativeOps {
   static void dual_band_synthesis(const T* approx, const T* detail,
                                   const T* f0, const T* f1, T* x_ext,
                                   std::size_t half_n, std::size_t taps) {
-    using V = typename NativeVec<T, 16>::V;
-    constexpr std::size_t W = NativeVec<T, 16>::kLanes;
+    using V = typename NativeVec<T>::V;
+    constexpr std::size_t W = NativeVec<T>::kLanes;
     if (taps < 2 || taps % 2 != 0 || half_n < taps) {
       RefOps::dual_band_synthesis(approx, detail, f0, f1, x_ext, half_n,
                                   taps);
@@ -444,16 +446,16 @@ struct NativeOps {
         ev[lane] = x[2 * lane];
         od[lane] = x[2 * lane + 1];
       }
-      V xe = vload<T, 16>(ev);
-      V xo = vload<T, 16>(od);
+      V xe = vload<T>(ev);
+      V xo = vload<T>(od);
       for (std::size_t m = pairs; m-- > 0;) {
-        const V a = vload<T, 16>(approx + p - m);
-        const V d = vload<T, 16>(detail + p - m);
+        const V a = vload<T>(approx + p - m);
+        const V d = vload<T>(detail + p - m);
         xe += a * f0[2 * m] + d * f1[2 * m];
         xo += a * f0[2 * m + 1] + d * f1[2 * m + 1];
       }
-      vstore<T, 16>(ev, xe);
-      vstore<T, 16>(od, xo);
+      vstore<T>(ev, xe);
+      vstore<T>(od, xo);
       for (std::size_t lane = 0; lane < W; ++lane) {
         x[2 * lane] = ev[lane];
         x[2 * lane + 1] = od[lane];
@@ -467,8 +469,6 @@ struct NativeOps {
     }
   }
 };
-
-#pragma GCC diagnostic pop
 
 #endif  // CSECG_HAS_NATIVE_SIMD
 

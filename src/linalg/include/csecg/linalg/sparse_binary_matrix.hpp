@@ -10,11 +10,15 @@
 /// 256x512, d = 12 matrix fits in ~6 kB — this is what makes CS sampling
 /// feasible inside the MSP430's 10 kB of RAM. The projection y = Phi*x is
 /// d*N integer additions (plus one global scale), no multiplications.
+///
+/// The host additionally keeps a row-compressed twin of the table so that
+/// both floating-point projections gather; the instance holds no mutable
+/// state (panel scratch is per thread), so one matrix can serve any number
+/// of decoders on any number of threads.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "csecg/util/error.hpp"
@@ -30,8 +34,10 @@ class SparseBinaryMatrix {
                      util::Rng& rng);
 
   /// Builds from an explicit index table (cols * d row indices, column
-  /// major, each column's d indices distinct). This is how the
+  /// major, each column's d indices strictly ascending). This is how the
   /// coordinator mirrors the mote's on-the-fly PRNG-generated matrix.
+  /// Throws on a repeated or out-of-order row, an out-of-range row, and
+  /// cols > 65536 (the twin stores column indices as uint16).
   SparseBinaryMatrix(std::size_t rows, std::size_t cols, std::size_t d,
                      std::vector<std::uint16_t> row_index);
 
@@ -48,175 +54,33 @@ class SparseBinaryMatrix {
     return std::span<const std::uint16_t>(row_index_.data() + c * d_, d_);
   }
 
-  /// y = Phi x (floating point path, used on the coordinator side).
+  /// y = Phi x (floating point path, used on the coordinator side). Row r
+  /// gathers its x[c] from the row-compressed twin in ascending c, the
+  /// order in which the mote's column scatter adds them, then takes one
+  /// final scale — bitwise the scatter's result.
   template <typename T>
-  void apply(std::span<const T> x, std::span<T> y) const {
-    CSECG_CHECK(x.size() == cols_ && y.size() == rows_,
-                "apply: size mismatch");
-    for (auto& v : y) {
-      v = T{};
-    }
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const T xc = x[c];
-      const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-      for (std::size_t k = 0; k < d_; ++k) {
-        y[rows_ptr[k]] += xc;
-      }
-    }
-    const T scale = static_cast<T>(value_);
-    for (auto& v : y) {
-      v *= scale;
-    }
-  }
+  void apply(std::span<const T> x, std::span<T> y) const;
 
-  /// y = Phi^T x.
+  /// y = Phi^T x: column c gathers its d rows in table order, then scales.
   template <typename T>
-  void apply_transpose(std::span<const T> x, std::span<T> y) const {
-    CSECG_CHECK(x.size() == rows_ && y.size() == cols_,
-                "apply_transpose: size mismatch");
-    const T scale = static_cast<T>(value_);
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-      T acc{};
-      for (std::size_t k = 0; k < d_; ++k) {
-        acc += x[rows_ptr[k]];
-      }
-      y[c] = acc * scale;
-    }
-  }
+  void apply_transpose(std::span<const T> x, std::span<T> y) const;
 
   /// Panel projection: y_row_b = Phi x_row_b for `batch` packed rows.
-  /// Lane groups run on an interleaved scratch panel — the scatter
-  /// target for row index r holds the group's rows contiguously, so
-  /// every "y[r] += x[c]" of the scalar loop becomes one group-wide add
-  /// and the index table (the expensive stream: cols*d random row
-  /// positions) is read once per group instead of once per row. Each
-  /// lane replays exactly the scalar per-row schedule (columns
-  /// ascending, the d adds in table order, one final scale), so results
-  /// are bitwise equal to the row-by-row loop. Full kLanes-wide groups
-  /// take the fixed-width fast path; a partial tail group of 2+ rows
-  /// (e.g. a 3-lead group) runs the same schedule at its own width, so
-  /// it still costs one traversal; a 1-row tail is plain apply().
+  /// Each group of up to kLanes rows is interleaved into per-thread
+  /// scratch (lanes past the panel read zero and are never stored), so
+  /// every gathered x[c] is one 4-wide load and the row twin is read once
+  /// per group. Each lane replays apply()'s per-row order, so results are
+  /// bitwise equal to the row-by-row loop; a lone row runs apply()'s
+  /// scalar gather.
   template <typename T>
   void apply_batch(std::span<const T> x, std::span<T> y,
-                   std::size_t batch) const {
-    CSECG_CHECK(x.size() == batch * cols_ && y.size() == batch * rows_,
-                "apply_batch: size mismatch");
-    const T scale = static_cast<T>(value_);
-    std::vector<T>& lanes = lane_scratch<T>();
-    std::size_t b0 = 0;
-    for (; b0 + kLanes <= batch; b0 += kLanes) {
-      lanes.assign(rows_ * kLanes, T{});
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T xc[kLanes];
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          xc[l] = x[(b0 + l) * cols_ + c];
-        }
-        for (std::size_t k = 0; k < d_; ++k) {
-          T* yr = lanes.data() + rows_ptr[k] * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            yr[l] += xc[l];
-          }
-        }
-      }
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        T* yl = y.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          yl[r] = lanes[r * kLanes + l] * scale;
-        }
-      }
-    }
-    const std::size_t rem = batch - b0;
-    if (rem == 1) {
-      apply(x.subspan(b0 * cols_, cols_), y.subspan(b0 * rows_, rows_));
-    } else if (rem > 1) {
-      lanes.assign(rows_ * rem, T{});
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T xc[kLanes];
-        for (std::size_t l = 0; l < rem; ++l) {
-          xc[l] = x[(b0 + l) * cols_ + c];
-        }
-        for (std::size_t k = 0; k < d_; ++k) {
-          T* yr = lanes.data() + rows_ptr[k] * rem;
-          for (std::size_t l = 0; l < rem; ++l) {
-            yr[l] += xc[l];
-          }
-        }
-      }
-      for (std::size_t l = 0; l < rem; ++l) {
-        T* yl = y.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          yl[r] = lanes[r * rem + l] * scale;
-        }
-      }
-    }
-  }
+                   std::size_t batch) const;
 
-  /// Panel back-projection: y_row_b = Phi^T x_row_b, same single-traversal
-  /// and bitwise contracts as apply_batch: lane groups interleave x so
-  /// each gather of d measurement values loads the group's rows at once
-  /// and every accumulation is a group-wide add, with per-lane summation
-  /// order identical to apply_transpose(). Partial tail groups of 2+
-  /// rows run the interleaved schedule at their own width.
+  /// Panel back-projection: y_row_b = Phi^T x_row_b, with the same lane
+  /// groups and bitwise contract as apply_batch over apply_transpose().
   template <typename T>
   void apply_transpose_batch(std::span<const T> x, std::span<T> y,
-                             std::size_t batch) const {
-    CSECG_CHECK(x.size() == batch * rows_ && y.size() == batch * cols_,
-                "apply_transpose_batch: size mismatch");
-    const T scale = static_cast<T>(value_);
-    std::vector<T>& lanes = lane_scratch<T>();
-    std::size_t b0 = 0;
-    for (; b0 + kLanes <= batch; b0 += kLanes) {
-      lanes.resize(rows_ * kLanes);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const T* xl = x.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          lanes[r * kLanes + l] = xl[r];
-        }
-      }
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T acc[kLanes] = {};
-        for (std::size_t k = 0; k < d_; ++k) {
-          const T* xr = lanes.data() + rows_ptr[k] * kLanes;
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            acc[l] += xr[l];
-          }
-        }
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          y[(b0 + l) * cols_ + c] = acc[l] * scale;
-        }
-      }
-    }
-    const std::size_t rem = batch - b0;
-    if (rem == 1) {
-      apply_transpose(x.subspan(b0 * rows_, rows_),
-                      y.subspan(b0 * cols_, cols_));
-    } else if (rem > 1) {
-      lanes.resize(rows_ * rem);
-      for (std::size_t l = 0; l < rem; ++l) {
-        const T* xl = x.data() + (b0 + l) * rows_;
-        for (std::size_t r = 0; r < rows_; ++r) {
-          lanes[r * rem + l] = xl[r];
-        }
-      }
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const std::uint16_t* rows_ptr = row_index_.data() + c * d_;
-        T acc[kLanes] = {};
-        for (std::size_t k = 0; k < d_; ++k) {
-          const T* xr = lanes.data() + rows_ptr[k] * rem;
-          for (std::size_t l = 0; l < rem; ++l) {
-            acc[l] += xr[l];
-          }
-        }
-        for (std::size_t l = 0; l < rem; ++l) {
-          y[(b0 + l) * cols_ + c] = acc[l] * scale;
-        }
-      }
-    }
-  }
+                             std::size_t batch) const;
 
   /// Integer accumulation path used by the 16-bit mote encoder: y must have
   /// rows() entries; each y[r] accumulates the *unscaled* sum of the x
@@ -228,7 +92,8 @@ class SparseBinaryMatrix {
                           std::span<std::int32_t> y) const;
 
   /// Storage the index table would occupy on the mote, in bytes (the paper
-  /// stores one small integer per non-zero).
+  /// stores one small integer per non-zero). The host-side row twin is
+  /// not counted: the mote never holds it.
   std::size_t storage_bytes() const;
 
   /// Fraction of row pairs of distinct columns that collide (share a row);
@@ -236,34 +101,30 @@ class SparseBinaryMatrix {
   double average_column_overlap() const;
 
   /// Panel lane width: one lane per batch row, sized so a group's
-  /// interleaved accumulators match the 4-wide vector units the native
-  /// backend targets (and auto-vectorise as fixed-count contiguous loops
-  /// everywhere else). Public so the §IV-B cycle model can price the
-  /// index-table stream per lane group: a panel apply of `batch` rows
-  /// reads the cols*d table ceil(batch / kLanes) times, not batch times.
+  /// interleaved accumulators match 4-wide vector units (they
+  /// auto-vectorise as fixed-count contiguous loops). Public so the §IV-B
+  /// cycle model can price the index-table stream per lane group: a panel
+  /// apply of `batch` rows reads the cols*d table ceil(batch / kLanes)
+  /// times, not batch times. The model prices the paper's column
+  /// schedule on the mote's table, not the host's twin gathers.
   static constexpr std::size_t kLanes = 4;
 
  private:
-  template <typename T>
-  std::vector<T>& lane_scratch() const {
-    if constexpr (std::is_same_v<T, float>) {
-      return lane_scratch_f_;
-    } else {
-      return lane_scratch_d_;
-    }
-  }
+  /// Validates the column table and builds the row-compressed twin.
+  void index_rows();
 
   std::size_t rows_;
   std::size_t cols_;
   std::size_t d_;
   double value_;
-  std::vector<std::uint16_t> row_index_;  // cols_ * d_, sorted per column
-  // Interleaved rows_ x kLanes panel scratch for the batch applies; reused
-  // across calls so the steady-state decode stays allocation-free. Like
-  // CsOperator's panel scratch this makes concurrent batch applies on one
-  // matrix instance racy — every decoder owns its matrices.
-  mutable std::vector<float> lane_scratch_f_;
-  mutable std::vector<double> lane_scratch_d_;
+  // The mote's table: cols_ * d_ row indices, sorted and distinct per
+  // column. storage_bytes() and the integer path read only this.
+  std::vector<std::uint16_t> row_index_;
+  // Its row-compressed twin, built once at construction so that Phi x
+  // gathers too: row r's column indices, ascending, sit at
+  // [row_start_[r], row_start_[r + 1]) of row_cols_.
+  std::vector<std::uint32_t> row_start_;
+  std::vector<std::uint16_t> row_cols_;
 };
 
 }  // namespace csecg::linalg

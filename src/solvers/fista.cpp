@@ -36,6 +36,79 @@ void charge_loop(const linalg::Backend& be, std::uint64_t ops,
   linalg::charge(c);
 }
 
+/// The bookkeeping sweep over G adjacent slots of `ln` coefficients: the
+/// iterate change and norm, the support flip (kSupport) and the restart
+/// alignment (kAlign) in one pass. The slots' add chains interleave, and
+/// each slot keeps its own double sums in ascending i, so every figure is
+/// bitwise the one a lone loop over that slot computes.
+template <std::size_t G, bool kSupport, bool kAlign, typename T>
+void sweep_slots(const T* next, const T* cur, const T* yk, std::size_t ln,
+                 IterateSweep* out) {
+  double change[G] = {};
+  double norm[G] = {};
+  double align[G] = {};
+  bool flip[G] = {};
+  for (std::size_t i = 0; i < ln; ++i) {
+    for (std::size_t j = 0; j < G; ++j) {
+      const T nt = next[j * ln + i];
+      const T ct = cur[j * ln + i];
+      const double nx = static_cast<double>(nt);
+      const double diff = nx - static_cast<double>(ct);
+      change[j] += diff * diff;
+      norm[j] += nx * nx;
+      if constexpr (kSupport) {
+        flip[j] |= (nt != T{}) != (ct != T{});
+      }
+      if constexpr (kAlign) {
+        align[j] += (static_cast<double>(yk[j * ln + i]) - nx) * diff;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < G; ++j) {
+    out[j] = {change[j], norm[j], align[j], flip[j]};
+  }
+}
+
+/// Sweeps all `active` slots, up to four per pass.
+template <bool kSupport, bool kAlign, typename T>
+void sweep_panel(const T* next, const T* cur, const T* yk, std::size_t ln,
+                 std::size_t active, IterateSweep* out) {
+  std::size_t s = 0;
+  for (; s + 4 <= active; s += 4) {
+    sweep_slots<4, kSupport, kAlign>(next + s * ln, cur + s * ln,
+                                     yk + s * ln, ln, out + s);
+  }
+  const T* n = next + s * ln;
+  const T* c = cur + s * ln;
+  const T* y = yk + s * ln;
+  switch (active - s) {
+    case 3:
+      sweep_slots<3, kSupport, kAlign>(n, c, y, ln, out + s);
+      break;
+    case 2:
+      sweep_slots<2, kSupport, kAlign>(n, c, y, ln, out + s);
+      break;
+    case 1:
+      sweep_slots<1, kSupport, kAlign>(n, c, y, ln, out + s);
+      break;
+    default:
+      break;
+  }
+}
+
+template <typename T>
+void sweep_panel(bool support, bool align, const T* next, const T* cur,
+                 const T* yk, std::size_t ln, std::size_t active,
+                 IterateSweep* out) {
+  if (support) {
+    align ? sweep_panel<true, true>(next, cur, yk, ln, active, out)
+          : sweep_panel<true, false>(next, cur, yk, ln, active, out);
+  } else {
+    align ? sweep_panel<false, true>(next, cur, yk, ln, active, out)
+          : sweep_panel<false, false>(next, cur, yk, ln, active, out);
+  }
+}
+
 /// The one shrinkage engine behind fista(), ista() and fista_panel().
 /// Solves lambdas.size() problems of `leads` contiguous rows each; every
 /// stage of the iteration runs as one panel kernel over the rows of the
@@ -101,6 +174,7 @@ std::span<ShrinkageResult<T>> shrinkage_panel(
   ws.tk.assign(problems, 1.0);
   ws.support_stable.assign(problems, 0);
   ws.perm.resize(problems);
+  ws.sweep.resize(problems);
   for (std::size_t p = 0; p < problems; ++p) {
     CSECG_CHECK(lambdas[p] >= 0.0, "lambda must be non-negative");
     ws.thresholds[p] = static_cast<T>(lambdas[p] / lipschitz);
@@ -220,7 +294,16 @@ std::span<ShrinkageResult<T>> shrinkage_panel(
                    panel, m);
     }
 
-    // Per-problem bookkeeping, stopping and compaction. Descending slot
+    // The bookkeeping sweep: every active slot's iterate change and norm,
+    // support flip and restart alignment, in one pass before any slot
+    // moves, so each slot still reads its own rows. The support and
+    // alignment figures are stopping-rule control flow, outside the
+    // charged kernel model.
+    const bool align = momentum && options.adaptive_restart;
+    sweep_panel(support_aware, align, a_next.data(), a_k.data(), yk.data(),
+                ln, active, ws.sweep.data());
+
+    // Per-problem decisions, stopping and compaction. Descending slot
     // order keeps swap-with-last sound: the problem moved in from the end
     // has already been processed this iteration.
     for (std::size_t s = active; s-- > 0;) {
@@ -228,41 +311,18 @@ std::span<ShrinkageResult<T>> shrinkage_panel(
       T* yk_s = yk.data() + s * ln;
       T* next = a_next.data() + s * ln;
       const T* cur = a_k.data() + s * ln;
-
-      // Iterate change. The support check piggybacks on the same pass —
-      // like the restart alignment loop it is stopping-rule control
-      // flow, outside the charged kernel model.
-      double change_sq = 0.0;
-      double norm_sq = 0.0;
-      bool support_changed = false;
-      for (std::size_t i = 0; i < ln; ++i) {
-        const double diff =
-            static_cast<double>(next[i]) - static_cast<double>(cur[i]);
-        change_sq += diff * diff;
-        norm_sq += static_cast<double>(next[i]) * static_cast<double>(next[i]);
-        if (support_aware && ((next[i] != T{}) != (cur[i] != T{}))) {
-          support_changed = true;
-        }
-      }
+      const IterateSweep& swept = ws.sweep[s];
       if (support_aware) {
-        ws.support_stable[p] = support_changed ? 0 : ws.support_stable[p] + 1;
+        ws.support_stable[p] =
+            swept.support_changed ? 0 : ws.support_stable[p] + 1;
       }
 
       if (momentum) {
         double t_k = ws.tk[p];
-        if (options.adaptive_restart) {
-          // Gradient restart test: if the momentum direction (a_new -
-          // a_old) opposes the last proximal step (y_k - a_new), kill
-          // the momentum.
-          double alignment = 0.0;
-          for (std::size_t i = 0; i < ln; ++i) {
-            alignment +=
-                (static_cast<double>(yk_s[i]) - static_cast<double>(next[i])) *
-                (static_cast<double>(next[i]) - static_cast<double>(cur[i]));
-          }
-          if (alignment > 0.0) {
-            t_k = 1.0;
-          }
+        // Gradient restart test: if the momentum direction (a_new - a_old)
+        // opposes the last proximal step (y_k - a_new), kill the momentum.
+        if (align && swept.alignment > 0.0) {
+          t_k = 1.0;
         }
         // eqs 5-6.
         const double t_next = (1.0 + std::sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0;
@@ -296,7 +356,8 @@ std::span<ShrinkageResult<T>> shrinkage_panel(
               : options.tolerance;
       const bool stop =
           (options.sigma.has_value() && residual_norm <= *options.sigma) ||
-          (norm_sq > 0.0 && std::sqrt(change_sq / norm_sq) < tolerance);
+          (swept.norm_sq > 0.0 &&
+           std::sqrt(swept.change_sq / swept.norm_sq) < tolerance);
       if (stop || k == options.max_iterations) {
         for (std::size_t l = 0; l < leads; ++l) {
           ShrinkageResult<T>& r = results[p * leads + l];

@@ -22,6 +22,14 @@
 
 namespace csecg::solvers {
 
+/// One slot's figures from an iteration's bookkeeping sweep.
+struct IterateSweep {
+  double change_sq = 0.0;  ///< ||a_next - a_k||^2
+  double norm_sq = 0.0;    ///< ||a_next||^2
+  double alignment = 0.0;  ///< (y_k - a_next) . (a_next - a_k)
+  bool support_changed = false;
+};
+
 class SolverWorkspace {
  public:
   /// Per-precision scratch. All vectors only ever grow; resize() between
@@ -50,6 +58,7 @@ class SolverWorkspace {
     /// support-aware tolerance relaxation.
     std::vector<std::size_t> support_stable;
     std::vector<std::size_t> perm;  ///< slot -> problem index (P)
+    std::vector<IterateSweep> sweep;  ///< per-slot bookkeeping sums (P)
     /// Solve outputs, one per row; the workspace-taking solvers write
     /// here and return a reference or span, reusing solution capacity.
     std::vector<ShrinkageResult<T>> results;

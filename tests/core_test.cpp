@@ -140,6 +140,37 @@ TEST(SensingMatrixTest, DeterministicInSeed) {
   EXPECT_EQ(ya, yb);
 }
 
+TEST(SensingMatrixTest, EqualGeometryAndSeedShareOnePhi) {
+  // Phi is a pure function of (rows, cols, d, 16-bit seed): matrices that
+  // agree on those hold one immutable instance, others get their own.
+  SensingMatrixConfig config;
+  const SensingMatrix a(config);
+  const SensingMatrix b(config);
+  EXPECT_EQ(&a.sparse(), &b.sparse());
+
+  SensingMatrixConfig high_bits = config;
+  high_bits.seed = config.seed + 65536;  // same 16-bit seed
+  EXPECT_EQ(&SensingMatrix(high_bits).sparse(), &a.sparse());
+
+  SensingMatrixConfig other_seed = config;
+  other_seed.seed = config.seed + 1;
+  SensingMatrixConfig other_rows = config;
+  other_rows.rows = 154;
+  SensingMatrixConfig other_d = config;
+  other_d.d = 8;
+  for (const auto& other : {other_seed, other_rows, other_d}) {
+    const SensingMatrix c(other);
+    EXPECT_NE(&c.sparse(), &a.sparse());
+  }
+
+  // Decoders of one profile share it too.
+  DecoderConfig decoder_config;
+  const auto book = default_difference_codebook();
+  const Decoder d1(decoder_config, book);
+  const Decoder d2(decoder_config, book);
+  EXPECT_EQ(&d1.sensing().sparse(), &d2.sensing().sparse());
+}
+
 TEST(SensingMatrixTest, FloatAndDoublePathsAgree) {
   for (const auto type :
        {SensingMatrixType::kGaussian, SensingMatrixType::kBernoulli,

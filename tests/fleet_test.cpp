@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -189,6 +190,82 @@ TEST(FleetTest, MatchesDirectDecoderExactly) {
     for (std::size_t i = 0; i < got.size(); ++i) {
       // Same code path, same data, one FP environment: exact match.
       EXPECT_EQ(got[i], reference[w][i]) << "window " << w << " sample " << i;
+    }
+  }
+}
+
+// Decoders of one profile share one immutable Phi, and the operators'
+// scratch is per thread, so workers decoding concurrently through it must
+// reproduce a lone thread's output bit for bit: single-row solves (the
+// 1-lane gathers) and a 6-window panel (a 4-lane group plus a 2-wide
+// one). The name keeps it in scripts/check_sanitize.sh --tsan's default
+// filter.
+TEST(FleetSharedPhi, ConcurrentDecodersMatchSingleThreadBitwise) {
+  const auto db = small_db();
+  const auto book = core::default_difference_codebook();
+  core::DecoderConfig config = fast_config();
+  config.prior.weighted_l1 = true;
+  config.prior.support_tolerance = 1e-4;
+  constexpr std::size_t kWindows = 6;
+  const auto frames = encode_stream(config, book, db, kWindows);
+  const std::size_t m = config.cs.measurements;
+
+  const auto decode_all = [&] {
+    core::Decoder decoder(config, book);
+    solvers::SolverWorkspace workspace;
+    std::vector<std::int32_t> y;
+    std::vector<std::int32_t> flat;
+    std::vector<std::vector<float>> out;
+    core::DecodedWindow<float> window;
+    for (const auto& frame : frames) {
+      const auto packet = core::Packet::parse(frame);
+      if (!packet || !decoder.decode_measurements_into(*packet, y)) {
+        return out;
+      }
+      flat.insert(flat.end(), y.begin(), y.end());
+      decoder.reconstruct_into<float>(std::span<const std::int32_t>(y),
+                                      workspace, window);
+      out.push_back(window.samples);
+    }
+    std::vector<core::DecodedWindow<float>> panel(kWindows);
+    decoder.reconstruct_batch_into<float>(
+        std::span<const std::int32_t>(flat.data(), kWindows * m), kWindows,
+        workspace, std::span<core::DecodedWindow<float>>(panel));
+    for (const auto& w : panel) {
+      out.push_back(w.samples);
+    }
+    return out;
+  };
+
+  const auto reference = decode_all();
+  ASSERT_EQ(reference.size(), 2 * kWindows);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::vector<float>>> got(kThreads);
+  std::vector<const linalg::SparseBinaryMatrix*> phis(kThreads, nullptr);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Build every decoder first so all of them hold Phi while they run.
+      core::Decoder probe(config, book);
+      phis[t] = &probe.sensing().sparse();
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      got[t] = decode_all();
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    EXPECT_EQ(phis[t], phis[0]);
+    ASSERT_EQ(got[t].size(), reference.size());
+    for (std::size_t w = 0; w < reference.size(); ++w) {
+      EXPECT_EQ(got[t][w], reference[w]) << "window " << w;
     }
   }
 }

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "csecg/linalg/backend.hpp"
 #include "csecg/linalg/dense_matrix.hpp"
@@ -257,10 +259,9 @@ TEST(SparseBinaryMatrixTest, RejectsBadParameters) {
   EXPECT_THROW(SparseBinaryMatrix(0, 8, 1, rng), Error);
 }
 
-// The panel applies run full groups of rows through the interleaved
-// lanes-across-rows fast path and the remainder row by row; both halves
-// must be bitwise equal to the single-row applies. 6 rows = one full lane
-// group plus a 2-row tail.
+// The panel applies run groups of up to four rows through the interleaved
+// lanes-across-rows gather; every group must be bitwise equal to the
+// single-row applies. 6 rows = one full lane group plus a 2-wide one.
 TEST(SparseBinaryMatrixTest, BatchAppliesAreBitwiseRowByRow) {
   util::Rng rng(12);
   const std::size_t m = 48;
@@ -298,7 +299,165 @@ TEST(SparseBinaryMatrixTest, BatchAppliesAreBitwiseRowByRow) {
   check(double{});
 }
 
+// The projections gather (Phi over the row twin, Phi^T over the column
+// table) in blocks of four outputs and, in a panel, four interleaved
+// lanes. Whatever the shape and panel width, every row must be bitwise
+// the mote-order column scatter (Phi) and column gather (Phi^T): the
+// sweep covers block tails (154 and 358 rows, 7 x 9), single-entry
+// columns (d = 1), an explicit table and widths 1-9 (full lane groups,
+// 2- and 3-wide groups, and a lone tail row).
+template <typename T>
+void expect_projections_match_column_oracle(const SparseBinaryMatrix& phi,
+                                            util::Rng& rng) {
+  const std::size_t m = phi.rows();
+  const std::size_t n = phi.cols();
+  const T scale = static_cast<T>(phi.value());
+  const auto scatter = [&](const T* x, T* y) {
+    std::fill(y, y + m, T{});
+    for (std::size_t c = 0; c < n; ++c) {
+      for (const auto r : phi.column_rows(c)) {
+        y[r] += x[c];
+      }
+    }
+    for (std::size_t r = 0; r < m; ++r) {
+      y[r] *= scale;
+    }
+  };
+  const auto column_gather = [&](const T* x, T* y) {
+    for (std::size_t c = 0; c < n; ++c) {
+      T acc{};
+      for (const auto r : phi.column_rows(c)) {
+        acc += x[r];
+      }
+      y[c] = acc * scale;
+    }
+  };
+  for (std::size_t width = 1; width <= 9; ++width) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<T> x(width * n);
+    std::vector<T> r(width * m);
+    for (auto& v : x) {
+      v = static_cast<T>(rng.gaussian());
+    }
+    for (auto& v : r) {
+      v = static_cast<T>(rng.gaussian());
+    }
+    std::vector<T> want_y(width * m), want_t(width * n);
+    for (std::size_t b = 0; b < width; ++b) {
+      scatter(x.data() + b * n, want_y.data() + b * m);
+      column_gather(r.data() + b * m, want_t.data() + b * n);
+    }
+    std::vector<T> got_y(width * m, T(-7)), got_t(width * n, T(-7));
+    phi.apply_batch<T>(x, got_y, width);
+    phi.apply_transpose_batch<T>(r, got_t, width);
+    for (std::size_t i = 0; i < width * m; ++i) {
+      ASSERT_EQ(got_y[i], want_y[i]) << "apply_batch i=" << i;
+    }
+    for (std::size_t i = 0; i < width * n; ++i) {
+      ASSERT_EQ(got_t[i], want_t[i]) << "apply_transpose_batch i=" << i;
+    }
+    if (width == 1) {
+      std::fill(got_y.begin(), got_y.end(), T(-7));
+      std::fill(got_t.begin(), got_t.end(), T(-7));
+      phi.apply<T>(x, got_y);
+      phi.apply_transpose<T>(r, got_t);
+      EXPECT_EQ(got_y, want_y);
+      EXPECT_EQ(got_t, want_t);
+    }
+  }
+}
+
+TEST(SparseBinaryMatrixTest, GathersMatchColumnOracleAtEveryWidth) {
+  struct Shape {
+    std::size_t rows, cols, d;
+  };
+  util::Rng rng(13);
+  for (const Shape shape : {Shape{256, 512, 12}, Shape{154, 512, 12},
+                            Shape{358, 512, 12}, Shape{7, 9, 3},
+                            Shape{40, 96, 1}}) {
+    SCOPED_TRACE(std::to_string(shape.rows) + "x" +
+                 std::to_string(shape.cols) + " d=" +
+                 std::to_string(shape.d));
+    const SparseBinaryMatrix phi(shape.rows, shape.cols, shape.d, rng);
+    expect_projections_match_column_oracle<float>(phi, rng);
+    expect_projections_match_column_oracle<double>(phi, rng);
+  }
+  // An explicit table with an empty row (row 3) and uneven row lengths.
+  const SparseBinaryMatrix table(
+      5, 6, 2, std::vector<std::uint16_t>{0, 1, 0, 2, 1, 4, 0, 4, 2, 4, 0, 1});
+  expect_projections_match_column_oracle<float>(table, rng);
+  expect_projections_match_column_oracle<double>(table, rng);
+}
+
+TEST(SparseBinaryMatrixTest, ExplicitTableFailsClosed) {
+  // A repeated row would silently double its entry; out of order breaks
+  // the sorted, distinct promise of column_rows().
+  EXPECT_THROW(SparseBinaryMatrix(
+                   3, 3, 2, std::vector<std::uint16_t>{1, 1, 1, 2, 0, 2}),
+               Error);
+  EXPECT_THROW(SparseBinaryMatrix(
+                   3, 3, 2, std::vector<std::uint16_t>{2, 1, 1, 2, 0, 2}),
+               Error);
+  EXPECT_THROW(SparseBinaryMatrix(
+                   3, 3, 2, std::vector<std::uint16_t>{0, 1, 1, 2, 2, 0}),
+               Error);
+  // Column indices of the row twin are uint16.
+  EXPECT_THROW(
+      SparseBinaryMatrix(1, 65537, 1, std::vector<std::uint16_t>(65537, 0)),
+      Error);
+  EXPECT_NO_THROW(
+      SparseBinaryMatrix(1, 65536, 1, std::vector<std::uint16_t>(65536, 0)));
+}
+
 // -------------------------------------------------------------- kernels --
+
+/// Native dot keeps the 8-float / 4-double lane order of one 32-byte
+/// accumulator (lane k sums i = k mod lanes, lanes added in order, then
+/// the scalar tail) on 16-byte vectors; pinned bitwise against that
+/// explicit oracle.
+template <typename T>
+T lane_order_dot(const T* a, const T* b, std::size_t n) {
+  constexpr std::size_t kLanes = 32 / sizeof(T);
+  T acc[kLanes] = {};
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      acc[l] += a[i + l] * b[i + l];
+    }
+  }
+  T sum{};
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    sum += acc[l];
+  }
+  for (; i < n; ++i) {
+    sum += a[i] * b[i];
+  }
+  return sum;
+}
+
+TEST(NativeDotTest, MatchesLaneOrderOracleBitwise) {
+  if (!native_simd_available()) {
+    GTEST_SKIP() << "native SIMD compiled out: native is the reference";
+  }
+  util::Rng rng(21);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 17; ++n) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(511);
+  sizes.push_back(512);
+  for (const std::size_t n : sizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto ad = random_vector(n, rng);
+    const auto bd = random_vector(n, rng);
+    EXPECT_EQ(native_backend().dot(ad.data(), bd.data(), n),
+              lane_order_dot(ad.data(), bd.data(), n));
+    const auto af = random_vector_f(n, rng);
+    const auto bf = random_vector_f(n, rng);
+    EXPECT_EQ(native_backend().dot(af.data(), bf.data(), n),
+              lane_order_dot(af.data(), bf.data(), n));
+  }
+}
 
 /// The reference and native kernel sets must produce the same math; the
 /// sweep covers multiples of the vector widths and their leftover tails.

@@ -6,6 +6,8 @@
 
 #include <array>
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "csecg/linalg/dense_matrix.hpp"
 #include "csecg/linalg/kernels.hpp"
@@ -687,6 +689,36 @@ TEST(FistaBatch, WeightedL1MatchesSequentialBitwise) {
   options.adaptive_restart = true;
   options.weights = approx_band_weights(p.n);
   expect_batch_matches_sequential(p, options);
+}
+
+TEST(FistaBatch, EveryPanelWidthMatchesLoneSolvesBitwise) {
+  // The bookkeeping sweep runs four slots per pass plus a 1-3 slot tail,
+  // and problems that stop compact out of the middle of a block. With
+  // restart, the support tolerance and weights all on, each of 1-9
+  // problems must still take exactly the trajectory it takes alone.
+  for (std::size_t problems = 1; problems <= 9; ++problems) {
+    SCOPED_TRACE("problems " + std::to_string(problems));
+    const auto p = make_batch_problem(problems, 60 + problems);
+    ShrinkageOptions options;
+    options.max_iterations = 400;
+    options.tolerance = 1e-6;
+    options.lipschitz = 16.0;
+    options.adaptive_restart = true;
+    options.support_tolerance = 1e-3;
+    options.weights = approx_band_weights(p.n);
+    expect_batch_matches_sequential(p, options);
+
+    SolverWorkspace ws;
+    const auto results =
+        fista_panel<float>(p.op, p.y_flat, p.lambdas, 1, options, ws);
+    std::set<std::size_t> stops;
+    for (const auto& r : results) {
+      stops.insert(r.iterations);
+    }
+    if (problems >= 4) {
+      EXPECT_GT(stops.size(), 1u) << "no problem stopped mid-panel";
+    }
+  }
 }
 
 TEST(FistaBatch, SigmaStoppingMatchesSequentialBitwise) {
