@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -677,6 +679,190 @@ TEST(FleetTest, MidStreamCrSwitchKeepsPrdContinuity) {
   EXPECT_LT(after / (kWindows - kSwitchAt), before / kSwitchAt + 5.0);
 }
 
+// ------------------------------------------ differential: batch widths --
+
+namespace {
+
+/// One sink delivery with its samples' bit patterns, so two receivers
+/// compare bit for bit (NaN and -0.0 included).
+struct Delivery {
+  std::uint32_t node_id = 0;
+  std::uint16_t sequence = 0;
+  std::uint16_t wire_sequence = 0;
+  std::uint8_t lead = 0;
+  bool concealed = false;
+  std::size_t iterations = 0;
+  std::vector<std::uint32_t> bits;
+
+  static Delivery of(const FleetWindow& window) {
+    Delivery d;
+    d.node_id = window.node_id;
+    d.sequence = window.sequence;
+    d.wire_sequence = window.wire_sequence;
+    d.lead = window.lead;
+    d.concealed = window.concealed;
+    d.iterations = window.iterations;
+    d.bits.resize(window.samples.size());
+    std::memcpy(d.bits.data(), window.samples.data(),
+                window.samples.size() * sizeof(float));
+    return d;
+  }
+
+  bool operator==(const Delivery&) const = default;
+};
+
+std::vector<std::uint32_t> float_bits(std::span<const float> samples) {
+  std::vector<std::uint32_t> bits(samples.size());
+  std::memcpy(bits.data(), samples.data(), samples.size() * sizeof(float));
+  return bits;
+}
+
+/// The frame ledger FleetNodeStats documents, for clean in-order traffic
+/// without duplicates.
+void expect_ledger_closes(const FleetReport& report, std::size_t leads) {
+  EXPECT_EQ(report.frames_submitted,
+            leads * (report.windows_reconstructed +
+                     report.windows_shed_concealed) +
+                report.frames_rejected + report.frames_corrupt +
+                report.frames_discarded);
+}
+
+}  // namespace
+
+TEST(FleetTest, DecodeBatchWidthsDeliverTheSameWindows) {
+  // One cold v1 stream that re-profiles CR 50 -> 30 halfway, with one
+  // data frame lost, one that fails its CRC and one that passes it but
+  // does not decode, through 1-worker fleets at every panel width:
+  // decode_batch changes how the windows are solved, never what reaches
+  // the sink or the report.
+  ecg::DatabaseConfig db_config;
+  db_config.record_count = 1;
+  db_config.duration_s = 32.0;
+  const ecg::SyntheticDatabase db(db_config);
+  const auto& record = db.mote(0);
+  const auto book = core::default_difference_codebook();
+  constexpr std::size_t kWindows = 12;
+  constexpr std::size_t kSwitchAt = 6;
+  core::StreamProfile before = core::profile_for_cr(50.0);
+  before.keyframe_interval = 2;  // keyframes at w0, w3 | w6, w9
+  core::StreamProfile after = core::profile_for_cr(30.0);
+  after.keyframe_interval = 2;
+
+  std::vector<std::vector<std::uint8_t>> frames;
+  StreamSession session(before);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    if (w == kSwitchAt) {
+      session.set_profile(after);
+    }
+    session.send_window(
+        std::span<const std::int16_t>(record.samples.data() + w * 512, 512),
+        [&](std::vector<std::uint8_t> frame) {
+          frames.push_back(std::move(frame));
+        });
+  }
+  // [profile 50, w0..w5, profile 30, w6..w11]
+  ASSERT_EQ(frames.size(), kWindows + 2);
+  constexpr std::size_t kLost = 2;       // w1
+  constexpr std::size_t kTruncated = 5;  // w4
+  constexpr std::size_t kCorrupt = 10;   // w8
+  {
+    auto packet = core::Packet::parse(frames[kTruncated]);
+    ASSERT_TRUE(packet.has_value());
+    packet->payload.resize(packet->payload.size() / 2);
+    frames[kTruncated] = packet->serialize();
+  }
+  frames[kCorrupt][frames[kCorrupt].size() / 2] ^= 0x10;
+  const auto blocker = encode_stream(fast_config(), book, db, 1).front();
+
+  const auto run = [&](std::size_t batch, std::vector<Delivery>& out,
+                       std::vector<double>& decode_seconds) {
+    FleetConfig fleet_config;
+    fleet_config.workers = 1;
+    fleet_config.decode_batch = batch;
+    // Give a gap up one tick after it shows, so concealments and the
+    // windows released behind them interleave with live dispatches.
+    fleet_config.arq.max_retries = 0;
+    fleet_config.arq.retry_timeout = 1.0;
+    // Node 1 holds the only worker in the sink until node 0's frames
+    // are all queued, so node 0 is drained decode_batch frames per
+    // dispatch whatever the host's timing.
+    std::mutex gate_mutex;
+    std::condition_variable gate_cv;
+    bool held = false;
+    bool open = false;
+    FleetCoordinator fleet(fleet_config, [&](const FleetWindow& window) {
+      if (window.node_id == 1) {
+        std::unique_lock<std::mutex> lock(gate_mutex);
+        held = true;
+        gate_cv.notify_all();
+        gate_cv.wait(lock, [&] { return open; });
+        return;
+      }
+      out.push_back(Delivery::of(window));
+      decode_seconds.push_back(window.decode_seconds);
+    });
+    fleet.add_node(fast_config(), book);
+    fleet.add_node(fast_config(), book);
+    fleet.submit(1, std::vector<std::uint8_t>(blocker));
+    {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      gate_cv.wait(lock, [&] { return held; });
+    }
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      if (f != kLost) {
+        fleet.submit(0, std::vector<std::uint8_t>(frames[f]));
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex);
+      open = true;
+    }
+    gate_cv.notify_all();
+    return fleet.finish();
+  };
+
+  std::vector<Delivery> reference;
+  std::vector<double> unused;
+  const FleetReport expected = run(1, reference, unused);
+  const FleetNodeStats& stream = expected.nodes[0];
+  EXPECT_EQ(stream.profiles_applied, 2u);
+  EXPECT_EQ(stream.frames_corrupt, 1u);
+  EXPECT_EQ(stream.frames_rejected, 3u);  // w2 behind w1, w4, w5 behind w4
+  EXPECT_EQ(stream.windows_reconstructed, 7u);
+  EXPECT_EQ(stream.windows_concealed, 5u);  // w1, w2, w4, w5, w8
+  ASSERT_EQ(reference.size(), kWindows);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    EXPECT_EQ(reference[w].sequence, w);
+  }
+
+  for (std::size_t batch = 2; batch <= 4; ++batch) {
+    SCOPED_TRACE("decode_batch " + std::to_string(batch));
+    std::vector<Delivery> got;
+    std::vector<double> decode_seconds;
+    const FleetReport report = run(batch, got, decode_seconds);
+    EXPECT_TRUE(got == reference);
+    EXPECT_EQ(report.frames_submitted, expected.frames_submitted);
+    EXPECT_EQ(report.frames_corrupt, expected.frames_corrupt);
+    EXPECT_EQ(report.frames_rejected, expected.frames_rejected);
+    EXPECT_EQ(report.frames_discarded, expected.frames_discarded);
+    EXPECT_EQ(report.windows_reconstructed, expected.windows_reconstructed);
+    EXPECT_EQ(report.windows_concealed, expected.windows_concealed);
+    EXPECT_EQ(report.windows_shed_concealed,
+              expected.windows_shed_concealed);
+    EXPECT_EQ(report.profiles_applied, expected.profiles_applied);
+    EXPECT_EQ(report.deadline_misses, expected.deadline_misses);
+    EXPECT_EQ(report.iterations_total, expected.iterations_total);
+    // Windows solved by one panel share its time evenly: some panel
+    // must have held more than one window.
+    std::size_t shared = 0;
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      shared += !got[i].concealed && !got[i - 1].concealed &&
+                decode_seconds[i] == decode_seconds[i - 1];
+    }
+    EXPECT_GE(shared, 1u);
+  }
+}
+
 // ----------------------------------- ring buffer close()-while-blocked --
 
 // Races close() against producers blocked on a full buffer and consumers
@@ -1000,6 +1186,237 @@ TEST(FleetTest, SustainedSheddingConvergesViaKeyframeResync) {
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << "window " << w << " sample " << i;
+    }
+  }
+}
+
+// ----------------------------------------------------------- lead groups --
+
+namespace {
+
+constexpr std::size_t kGroupLeads = 3;
+
+/// A 3-lead v2 profile at CR 50. Nodes registered from it run the
+/// default solver settings, so the group tests keep their streams short.
+core::StreamProfile group_profile() {
+  return core::profile_for_cr(50.0).with_leads(kGroupLeads);
+}
+
+/// Serialized frames of `windows` group windows of one record's first
+/// three leads: kGroupLeads frames per window, lead tags in order.
+std::vector<std::vector<std::uint8_t>> encode_group_stream(
+    std::size_t windows) {
+  ecg::DatabaseConfig db_config;
+  db_config.record_count = 1;
+  db_config.duration_s = 16.0;
+  db_config.leads = kGroupLeads;
+  const ecg::SyntheticDatabase db(db_config);
+  const auto leads = db.mote_lead_group(0);
+  const core::StreamProfile profile = group_profile();
+  const std::size_t n = profile.window;
+  core::Encoder encoder(profile);
+  std::vector<std::int16_t> flat(kGroupLeads * n);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t w = 0; w < windows; ++w) {
+    for (std::size_t l = 0; l < kGroupLeads; ++l) {
+      std::copy_n(leads[l]->samples.begin() +
+                      static_cast<std::ptrdiff_t>(w * n),
+                  n, flat.begin() + static_cast<std::ptrdiff_t>(l * n));
+    }
+    for (const core::Packet& packet : encoder.encode_group(flat)) {
+      frames.push_back(packet.serialize());
+    }
+  }
+  return frames;
+}
+
+/// Entropy-decodes group window \p w of \p frames through \p decoder.
+bool decode_group_frames(core::Decoder& decoder,
+                         const std::vector<std::vector<std::uint8_t>>& frames,
+                         std::size_t w, std::vector<std::int32_t>& y) {
+  std::vector<core::Packet> packets(kGroupLeads);
+  for (std::size_t l = 0; l < kGroupLeads; ++l) {
+    if (!core::Packet::parse_into(frames[w * kGroupLeads + l], packets[l])) {
+      return false;
+    }
+  }
+  return decoder.decode_group_measurements_into(
+      std::span<const core::Packet>(packets), y);
+}
+
+}  // namespace
+
+TEST(FleetGroupTest, DecodedGroupsMatchDirectDecoderBitwise) {
+  constexpr std::size_t kWindows = 3;  // a keyframe and two differentials
+  const auto frames = encode_group_stream(kWindows);
+
+  std::vector<std::vector<std::vector<std::uint32_t>>> reference;
+  std::vector<std::size_t> reference_iterations;
+  {
+    core::Decoder decoder(group_profile());
+    solvers::SolverWorkspace workspace;
+    std::vector<std::int32_t> y;
+    std::vector<core::DecodedWindow<float>> windows(kGroupLeads);
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      ASSERT_TRUE(decode_group_frames(decoder, frames, w, y));
+      decoder.reconstruct_group_into<float>(
+          std::span<const std::int32_t>(y), workspace,
+          std::span<core::DecodedWindow<float>>(windows));
+      reference.emplace_back();
+      for (const auto& window : windows) {
+        reference.back().push_back(float_bits(window.samples));
+      }
+      reference_iterations.push_back(windows[0].iterations);
+    }
+  }
+
+  std::mutex mutex;
+  std::vector<Delivery> delivered;
+  FleetConfig fleet_config;
+  fleet_config.workers = 2;
+  FleetCoordinator fleet(fleet_config, [&](const FleetWindow& window) {
+    std::lock_guard<std::mutex> lock(mutex);
+    delivered.push_back(Delivery::of(window));
+  });
+  fleet.add_node(group_profile());
+  for (const auto& frame : frames) {
+    fleet.submit(0, std::vector<std::uint8_t>(frame));
+  }
+  const FleetReport report = fleet.finish();
+
+  // One joint solve per group window; leads arrive together, in order.
+  EXPECT_EQ(report.windows_reconstructed, kWindows);
+  EXPECT_EQ(report.windows_concealed, 0u);
+  expect_ledger_closes(report, kGroupLeads);
+  ASSERT_EQ(delivered.size(), kWindows * kGroupLeads);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t l = 0; l < kGroupLeads; ++l) {
+      const Delivery& got = delivered[w * kGroupLeads + l];
+      SCOPED_TRACE("window " + std::to_string(w) + " lead " +
+                   std::to_string(l));
+      EXPECT_EQ(got.sequence, w);
+      EXPECT_EQ(got.wire_sequence, w);
+      EXPECT_EQ(got.lead, l);
+      EXPECT_FALSE(got.concealed);
+      EXPECT_EQ(got.iterations, reference_iterations[w]);
+      EXPECT_TRUE(got.bits == reference[w][l]);
+    }
+  }
+}
+
+TEST(FleetGroupTest, LostLeadConcealsEveryLeadWithThePreviousGroup) {
+  // Group 2 loses lead 1 in flight: its siblings are discarded and the
+  // whole group conceals. Group 3 is a differential behind that gap, so
+  // the decoder rejects it whole and it conceals too. Both stand-ins
+  // repeat group 1 lead for lead.
+  constexpr std::size_t kWindows = 4;
+  const auto frames = encode_group_stream(kWindows);
+  constexpr std::size_t kLostFrame = 2 * kGroupLeads + 1;
+
+  std::mutex mutex;
+  std::vector<Delivery> delivered;
+  FleetConfig fleet_config;
+  fleet_config.workers = 1;
+  FleetCoordinator fleet(fleet_config, [&](const FleetWindow& window) {
+    std::lock_guard<std::mutex> lock(mutex);
+    delivered.push_back(Delivery::of(window));
+  });
+  fleet.add_node(group_profile());
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    if (f != kLostFrame) {
+      fleet.submit(0, std::vector<std::uint8_t>(frames[f]));
+    }
+  }
+  const FleetReport report = fleet.finish();
+
+  EXPECT_EQ(report.windows_reconstructed, 2u);
+  EXPECT_EQ(report.windows_concealed, 2u);
+  EXPECT_EQ(report.frames_discarded, kGroupLeads - 1);
+  EXPECT_EQ(report.frames_rejected, kGroupLeads);
+  expect_ledger_closes(report, kGroupLeads);
+  ASSERT_EQ(delivered.size(), kWindows * kGroupLeads);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t l = 0; l < kGroupLeads; ++l) {
+      const Delivery& got = delivered[w * kGroupLeads + l];
+      SCOPED_TRACE("window " + std::to_string(w) + " lead " +
+                   std::to_string(l));
+      EXPECT_EQ(got.sequence, w);
+      EXPECT_EQ(got.lead, l);
+      EXPECT_EQ(got.concealed, w >= 2);
+      if (w >= 2) {
+        EXPECT_TRUE(got.bits == delivered[kGroupLeads + l].bits);
+      }
+    }
+  }
+  // The leads are distinct signals, so a lead-for-lead repeat is not
+  // the same stand-in three times over.
+  EXPECT_FALSE(delivered[kGroupLeads].bits == delivered[kGroupLeads + 1].bits);
+}
+
+TEST(FleetGroupTest, ConcealOnlyShedsWholeGroupsAndResumesExactly) {
+  // Shed groups 0 and 1, then decode group 2. The shed groups still
+  // advance every lead's differential chain, so group 2 lands bitwise
+  // where a direct decoder that entropy-decoded all three groups does.
+  constexpr std::size_t kWindows = 3;
+  constexpr std::size_t kShed = 2;
+  const auto frames = encode_group_stream(kWindows);
+
+  std::vector<std::vector<std::uint32_t>> reference;
+  {
+    core::Decoder decoder(group_profile());
+    solvers::SolverWorkspace workspace;
+    std::vector<std::int32_t> y;
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      ASSERT_TRUE(decode_group_frames(decoder, frames, w, y));
+    }
+    std::vector<core::DecodedWindow<float>> windows(kGroupLeads);
+    decoder.reconstruct_group_into<float>(
+        std::span<const std::int32_t>(y), workspace,
+        std::span<core::DecodedWindow<float>>(windows));
+    for (const auto& window : windows) {
+      reference.push_back(float_bits(window.samples));
+    }
+  }
+
+  std::mutex mutex;
+  std::vector<Delivery> delivered;
+  std::atomic<std::size_t> count{0};
+  FleetConfig fleet_config;
+  fleet_config.workers = 1;
+  FleetCoordinator fleet(fleet_config, [&](const FleetWindow& window) {
+    std::lock_guard<std::mutex> lock(mutex);
+    delivered.push_back(Delivery::of(window));
+    ++count;
+  });
+  fleet.add_node(group_profile());
+  fleet.set_decode_mode(FleetCoordinator::DecodeMode::kConcealOnly);
+  for (std::size_t f = 0; f < kShed * kGroupLeads; ++f) {
+    fleet.submit(0, std::vector<std::uint8_t>(frames[f]));
+  }
+  wait_delivered(count, kShed * kGroupLeads);
+  fleet.set_decode_mode(FleetCoordinator::DecodeMode::kFull);
+  for (std::size_t f = kShed * kGroupLeads; f < frames.size(); ++f) {
+    fleet.submit(0, std::vector<std::uint8_t>(frames[f]));
+  }
+  const FleetReport report = fleet.finish();
+
+  EXPECT_EQ(report.windows_reconstructed, kWindows - kShed);
+  EXPECT_EQ(report.windows_concealed, kShed);
+  EXPECT_EQ(report.windows_shed_concealed, kShed);
+  EXPECT_EQ(report.frames_rejected, 0u);
+  expect_ledger_closes(report, kGroupLeads);
+  ASSERT_EQ(delivered.size(), kWindows * kGroupLeads);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    for (std::size_t l = 0; l < kGroupLeads; ++l) {
+      const Delivery& got = delivered[w * kGroupLeads + l];
+      SCOPED_TRACE("window " + std::to_string(w) + " lead " +
+                   std::to_string(l));
+      EXPECT_EQ(got.sequence, w);
+      EXPECT_EQ(got.lead, l);
+      EXPECT_EQ(got.concealed, w < kShed);
+      if (w >= kShed) {
+        EXPECT_TRUE(got.bits == reference[l]);
+      }
     }
   }
 }
