@@ -7,8 +7,11 @@
 #
 # --tsan (ThreadSanitizer): the concurrency-heavy subset by default —
 # the fleet scheduler (worker pool, per-node in-order delivery,
-# backpressure), the RingBuffer close-while-blocked races and the shared
-# metrics registry. Pass an explicit ctest regex to widen it.
+# backpressure), the gateway cases that drive its workers through shed
+# tiers, NACK suppression and delivery stamps (GatewayTest; the long
+# GatewaySoakTest stays out — scripts/check_soak.sh soaks under TSan),
+# the RingBuffer close-while-blocked races and the shared metrics
+# registry. Pass an explicit ctest regex to widen it.
 #
 # Usage: scripts/check_sanitize.sh [--tsan] [build-dir] [ctest-regex]
 set -euo pipefail
@@ -23,7 +26,7 @@ fi
 
 if [[ "${mode}" == "tsan" ]]; then
   build_dir="${1:-${repo_root}/build-tsan}"
-  filter="${2:-Fleet|RingBuffer|ObsMetrics}"
+  filter="${2:-Fleet|GatewayTest|RingBuffer|ObsMetrics}"
   sanitize_flags=(-DCSECG_SANITIZE=OFF -DCSECG_SANITIZE_THREAD=ON)
 else
   build_dir="${1:-${repo_root}/build-asan}"

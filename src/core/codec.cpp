@@ -1,10 +1,14 @@
 #include "csecg/core/codec.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "csecg/util/error.hpp"
 
 namespace csecg::core {
+
+// A codec owns a Decoder, whose operators point at its own members.
+static_assert(!std::is_move_constructible_v<CsEcgCodec>);
 
 CsEcgCodec::CsEcgCodec(const DecoderConfig& config,
                        const coding::HuffmanCodebook& codebook)

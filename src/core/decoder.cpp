@@ -10,6 +10,10 @@
 
 namespace csecg::core {
 
+// op_f_/op_d_ point at the decoder's own sensing_/transform_: a moved-to
+// decoder would decode through (and dangle on) its source's members.
+static_assert(!std::is_move_constructible_v<Decoder>);
+
 namespace {
 
 SensingMatrixConfig sensing_config_from(const EncoderConfig& config) {
@@ -34,6 +38,32 @@ coding::HuffmanCodebook checked_profile_codebook(
 
 const linalg::Backend& resolved_backend(const DecoderConfig& config) {
   return config.backend ? *config.backend : linalg::default_backend();
+}
+
+/// Reads one keyframe row: row.size() fixed-width two's-complement
+/// fields of \p bits each.
+bool read_absolute(std::span<const std::uint8_t> payload, unsigned bits,
+                   std::span<std::int32_t> row) {
+  if (payload.size() != (row.size() * bits + 7) / 8) {
+    // An absolute frame's size is a function of the geometry alone; a
+    // mismatch means the frame was produced under a different profile
+    // (e.g. its announcement was lost). Decoding it would yield
+    // plausible-looking garbage, so reject and wait for a re-announce.
+    return false;
+  }
+  coding::BitReader reader(payload);
+  const std::int32_t sign_bit = std::int32_t{1} << (bits - 1);
+  for (std::int32_t& value : row) {
+    const auto raw = reader.read_bits(bits);
+    if (!raw) {
+      return false;
+    }
+    value = static_cast<std::int32_t>(*raw);
+    if ((value & sign_bit) != 0) {
+      value -= std::int32_t{1} << bits;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -249,7 +279,7 @@ Decoder::FrameOutcome Decoder::consume(const Packet& packet,
     // data frames: re-applying a stale announcement would rewind the
     // difference chain mid-stream. Beyond the horizon it is a re-sync
     // after a long outage and must be accepted (cf. the keyframe rule in
-    // decode_measurements_into).
+    // decode_group_measurements_into).
     const auto delta = static_cast<std::int16_t>(
         static_cast<std::uint16_t>(packet.sequence - last_sequence_));
     if (delta <= 0 && delta > -static_cast<std::int32_t>(kStaleHorizon)) {
@@ -280,108 +310,8 @@ std::optional<std::vector<std::int32_t>> Decoder::decode_measurements(
 
 bool Decoder::decode_measurements_into(const Packet& packet,
                                        std::vector<std::int32_t>& y) {
-  if (packet.kind == PacketKind::kProfile) {
-    // Fail closed for legacy callers: a profile frame carries no window
-    // and must not be interpreted as measurement bits. consume() is the
-    // profile-aware entry point.
-    return false;
-  }
-  if (config_.cs.leads > 1 || packet.lead != 0) {
-    // A lead-group window only decodes whole, through
-    // decode_group_measurements_into; a stray lead-tagged frame on a
-    // single-lead stream is equally malformed. Fail closed either way.
-    return false;
-  }
-  const std::size_t m = config_.cs.measurements;
-  y.assign(m, 0);
-  coding::BitReader reader(packet.payload);
-
-  if (have_sequence_) {
-    // Reject stale frames (duplicate or reordered retransmissions that
-    // arrive after the chain has moved past them): decoding one would
-    // rewind previous_y_/last_sequence_ and silently corrupt every
-    // differential until the next keyframe. Wrap-safe int16 distance.
-    const auto delta = static_cast<std::int16_t>(
-        static_cast<std::uint16_t>(packet.sequence - last_sequence_));
-    if (delta <= 0) {
-      // The int16 distance only identifies a genuine duplicate within
-      // half the sequence space. A frame "behind" by more than the stale
-      // horizon cannot be a retransmission (ARQ buffers are far smaller):
-      // it is a forward jump of >= 2^15 - kStaleHorizon windows whose
-      // distance wrapped negative, e.g. the first frame after a long
-      // outage. A differential frame is useless there either way, but an
-      // absolute keyframe must be accepted as a stream re-sync —
-      // otherwise the decoder deadlocks until the sender's sequence
-      // happens to move back into the accepted half-space.
-      const bool recent_past =
-          delta > -static_cast<std::int32_t>(kStaleHorizon);
-      if (recent_past || packet.kind != PacketKind::kAbsolute) {
-        return false;
-      }
-    }
-  }
-
-  if (packet.kind == PacketKind::kAbsolute) {
-    obs::SpanScope entropy_span("huffman_decode", packet.sequence);
-    entropy_span.attribute("keyframe", 1.0);
-    const unsigned bits = config_.cs.absolute_bits;
-    if (packet.payload.size() != (m * bits + 7) / 8) {
-      // An absolute frame's size is a function of the geometry alone; a
-      // mismatch means the frame was produced under a different profile
-      // (e.g. its announcement was lost). Decoding it would yield
-      // plausible-looking garbage, so reject and wait for a re-announce.
-      return false;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto raw = reader.read_bits(bits);
-      if (!raw) {
-        return false;
-      }
-      // Sign-extend the fixed-width two's-complement field.
-      std::int32_t value = static_cast<std::int32_t>(*raw);
-      const std::int32_t sign_bit = std::int32_t{1} << (bits - 1);
-      if ((value & sign_bit) != 0) {
-        value -= std::int32_t{1} << bits;
-      }
-      y[i] = value;
-    }
-    // An accepted keyframe (re)starts the difference chain — possibly
-    // after a loss gap or an ARQ gap-abandonment, where the last
-    // reconstruction is not this window's neighbour. The warm prior dies
-    // with the old chain; the differentials that follow rebuild it.
-    invalidate_prior();
-  } else {
-    if (!have_previous_) {
-      return false;  // differential packet without a reference
-    }
-    if (packet.sequence !=
-        static_cast<std::uint16_t>(last_sequence_ + 1)) {
-      // Sequence gap: a frame was lost. Decoding this differential against
-      // stale state would produce silently corrupt measurements, so drop
-      // it and wait for the next absolute (keyframe) packet.
-      return false;
-    }
-    // Huffman-decode into differences (against a zero reference), then
-    // reconstruct y_t = y_{t-1} + diff as its own observable stage.
-    {
-      obs::SpanScope entropy_span("huffman_decode", packet.sequence);
-      entropy_span.attribute("keyframe", 0.0);
-      if (!decode_difference(reader, codebook_,
-                             std::span<const std::int32_t>(zero_scratch_),
-                             std::span<std::int32_t>(y))) {
-        return false;
-      }
-    }
-    obs::SpanScope reconstruct_span("packet_reconstruct", packet.sequence);
-    for (std::size_t i = 0; i < m; ++i) {
-      y[i] += previous_y_[i];
-    }
-  }
-  previous_y_.assign(y.begin(), y.end());
-  have_previous_ = true;
-  have_sequence_ = true;
-  last_sequence_ = packet.sequence;
-  return true;
+  return decode_group_measurements_into(std::span<const Packet>(&packet, 1),
+                                        y);
 }
 
 bool Decoder::decode_group_measurements_into(
@@ -389,15 +319,16 @@ bool Decoder::decode_group_measurements_into(
   const std::size_t leads = config_.cs.leads;
   const std::size_t m = config_.cs.measurements;
   if (group.size() != leads) {
+    // A lead-group window only decodes whole; a lone frame on a group
+    // stream is as malformed as a group on a single-lead one.
     return false;
   }
-  if (leads == 1) {
-    return decode_measurements_into(group[0], y_flat);
-  }
 
-  // Group invariants: one sequence number, lead tags 0..L-1 in order,
-  // one kind (the encoder's keyframe decision is group-wide; profiles
-  // ride their own untagged frame through consume()).
+  // Group invariants: one sequence number, lead tags 0..L-1 in order (a
+  // stray lead-tagged frame on a single-lead stream fails here), one
+  // kind (the encoder's keyframe decision is group-wide). A profile frame
+  // carries no window and must not be read as measurement bits: it fails
+  // closed here, and consume() is the profile-aware entry point.
   const std::uint16_t sequence = group[0].sequence;
   const PacketKind kind = group[0].kind;
   if (kind == PacketKind::kProfile) {
@@ -410,77 +341,81 @@ bool Decoder::decode_group_measurements_into(
     }
   }
 
+  const bool keyframe = kind == PacketKind::kAbsolute;
   if (have_sequence_) {
-    // The group advances one shared chain clock, so the stale/duplicate
-    // discipline of the single-lead path runs once per group (including
-    // the beyond-horizon keyframe re-sync rule).
+    // Reject stale frames (duplicate or reordered retransmissions that
+    // arrive after the chain has moved past them): decoding one would
+    // rewind previous_y_/last_sequence_ and silently corrupt every
+    // differential until the next keyframe. Wrap-safe int16 distance; a
+    // group advances one shared chain clock, so this runs once per group.
     const auto delta = static_cast<std::int16_t>(
         static_cast<std::uint16_t>(sequence - last_sequence_));
     if (delta <= 0) {
+      // The int16 distance only identifies a genuine duplicate within
+      // half the sequence space. A frame "behind" by more than the stale
+      // horizon cannot be a retransmission (ARQ buffers are far smaller):
+      // it is a forward jump of >= 2^15 - kStaleHorizon windows whose
+      // distance wrapped negative, e.g. the first frame after a long
+      // outage. A differential frame is useless there either way, but an
+      // absolute keyframe must be accepted as a stream re-sync —
+      // otherwise the decoder deadlocks until the sender's sequence
+      // happens to move back into the accepted half-space.
       const bool recent_past =
           delta > -static_cast<std::int32_t>(kStaleHorizon);
-      if (recent_past || kind != PacketKind::kAbsolute) {
+      if (recent_past || !keyframe) {
         return false;
       }
     }
+  }
+  if (!keyframe &&
+      (!have_previous_ ||
+       sequence != static_cast<std::uint16_t>(last_sequence_ + 1))) {
+    // A differential needs its reference, and a sequence gap means a
+    // frame was lost: decoding against stale state would produce silently
+    // corrupt measurements, so drop it and wait for the next keyframe.
+    return false;
   }
 
   // Decode every lead before committing anything: a corrupt lead rejects
   // the whole group with all chains and the sequence state untouched.
   y_flat.assign(leads * m, 0);
-  if (kind == PacketKind::kAbsolute) {
-    const unsigned bits = config_.cs.absolute_bits;
-    for (std::size_t l = 0; l < leads; ++l) {
-      const Packet& packet = group[l];
+  for (std::size_t l = 0; l < leads; ++l) {
+    const std::span<const std::uint8_t> payload(group[l].payload);
+    const std::span<std::int32_t> row(y_flat.data() + l * m, m);
+    {
       obs::SpanScope entropy_span("huffman_decode", sequence);
-      entropy_span.attribute("keyframe", 1.0);
-      entropy_span.attribute("lead", static_cast<double>(l));
-      if (packet.payload.size() != (m * bits + 7) / 8) {
+      entropy_span.attribute("keyframe", keyframe ? 1.0 : 0.0);
+      if (leads > 1) {
+        entropy_span.attribute("lead", static_cast<double>(l));
+      }
+      bool ok = false;
+      if (keyframe) {
+        ok = read_absolute(payload, config_.cs.absolute_bits, row);
+      } else {
+        // Huffman-decode into differences (against a zero reference);
+        // y_t = y_{t-1} + diff below is its own observable stage.
+        coding::BitReader reader(payload);
+        ok = decode_difference(reader, codebook_,
+                               std::span<const std::int32_t>(zero_scratch_),
+                               row);
+      }
+      if (!ok) {
         return false;
       }
-      coding::BitReader reader(packet.payload);
-      for (std::size_t i = 0; i < m; ++i) {
-        const auto raw = reader.read_bits(bits);
-        if (!raw) {
-          return false;
-        }
-        std::int32_t value = static_cast<std::int32_t>(*raw);
-        const std::int32_t sign_bit = std::int32_t{1} << (bits - 1);
-        if ((value & sign_bit) != 0) {
-          value -= std::int32_t{1} << bits;
-        }
-        y_flat[l * m + i] = value;
-      }
     }
-    // A group keyframe re-syncs every lead at once — and kills the group
-    // warm prior with the old chain, exactly like the single-lead rule.
-    invalidate_prior();
-  } else {
-    if (!have_previous_) {
-      return false;
-    }
-    if (sequence != static_cast<std::uint16_t>(last_sequence_ + 1)) {
-      return false;
-    }
-    for (std::size_t l = 0; l < leads; ++l) {
-      const Packet& packet = group[l];
-      const std::span<std::int32_t> row(y_flat.data() + l * m, m);
-      {
-        obs::SpanScope entropy_span("huffman_decode", sequence);
-        entropy_span.attribute("keyframe", 0.0);
-        entropy_span.attribute("lead", static_cast<double>(l));
-        coding::BitReader reader(packet.payload);
-        if (!decode_difference(reader, codebook_,
-                               std::span<const std::int32_t>(zero_scratch_),
-                               row)) {
-          return false;
-        }
-      }
+    if (!keyframe) {
       obs::SpanScope reconstruct_span("packet_reconstruct", sequence);
       for (std::size_t i = 0; i < m; ++i) {
         row[i] += previous_y_[l * m + i];
       }
     }
+  }
+  if (keyframe) {
+    // An accepted keyframe (re)starts every lead's difference chain —
+    // possibly after a loss gap or an ARQ gap-abandonment, where the last
+    // reconstruction is not this window's neighbour. The warm prior dies
+    // with the old chain; the differentials that follow rebuild it.
+    invalidate_prior();
   }
 
   previous_y_.assign(y_flat.begin(), y_flat.end());

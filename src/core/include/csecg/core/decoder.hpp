@@ -115,7 +115,9 @@ struct DecodedWindow {
 
 /// A Decoder instance is not internally synchronised: it caches operators
 /// and solver options across windows, so at most one thread may drive it
-/// at a time (the fleet scheduler guarantees this per node).
+/// at a time (the fleet scheduler guarantees this per node). Nor is it
+/// copyable or movable: its cached operators point at its own sensing
+/// matrix and wavelet frame.
 class Decoder {
  public:
   /// How far behind the chain a sequence number is still treated as a
@@ -141,6 +143,9 @@ class Decoder {
   /// on an unrealisable profile — wire input should go through
   /// StreamProfile::parse (which validates) or consume() instead.
   explicit Decoder(const StreamProfile& profile);
+
+  Decoder(Decoder&&) = delete;
+  Decoder& operator=(Decoder&&) = delete;
 
   const DecoderConfig& config() const { return config_; }
   const SensingMatrix& sensing() const { return sensing_; }
@@ -173,27 +178,24 @@ class Decoder {
   std::optional<std::vector<std::int32_t>> decode_measurements(
       const Packet& packet);
 
-  /// As decode_measurements, but reuses \p y's capacity (allocation-free
-  /// in steady state). Returns false on any reject; \p y is then
-  /// unspecified and the inter-packet state is unchanged. kProfile frames
-  /// are rejected here — route mixed v1 streams through consume(). On a
-  /// lead-group stream (profile leads > 1) every data frame is rejected:
-  /// a group window only decodes whole, through
-  /// decode_group_measurements_into.
+  /// The single-lead window as the lead group of one:
+  /// decode_group_measurements_into over {\p packet}. Reuses \p y's
+  /// capacity (allocation-free in steady state). On a lead-group stream
+  /// (profile leads > 1) every lone frame is rejected.
   bool decode_measurements_into(const Packet& packet,
                                 std::vector<std::int32_t>& y);
 
-  /// Entropy-decodes one complete lead-group window: \p group holds the
-  /// leads frames of one window — one shared sequence number, lead tags
-  /// 0..leads-1 in order, and one kind (the encoder's keyframe decision
-  /// is group-wide). \p y_flat receives leads * measurements integers
-  /// packed lead-major. All-or-nothing: any reject (stale/gap/corrupt
-  /// frame, wrong tag order, mixed kinds) returns false with every
-  /// difference chain and the sequence state unchanged, so the caller
-  /// conceals or sheds the whole group as one unit. An accepted group
-  /// keyframe invalidates the group warm prior, exactly like the
-  /// single-lead chain. leads == 1 accepts the singleton group with the
-  /// same semantics as decode_measurements_into.
+  /// The one measurement decoder, for every lead count: entropy-decodes
+  /// one complete window of \p group — the stream's leads frames, one
+  /// shared sequence number, lead tags 0..leads-1 in order, and one kind
+  /// (the encoder's keyframe decision is group-wide). \p y_flat receives
+  /// leads * measurements integers packed lead-major, reusing its
+  /// capacity. All-or-nothing: any reject (stale, gap, corrupt or
+  /// kProfile frame, wrong tag order, mixed kinds) returns false with
+  /// \p y_flat unspecified and every difference chain and the sequence
+  /// state unchanged, so the caller conceals or sheds the whole window
+  /// as one unit. An accepted keyframe invalidates the warm prior. Route
+  /// mixed v1 streams through consume().
   bool decode_group_measurements_into(std::span<const Packet> group,
                                       std::vector<std::int32_t>& y_flat);
 

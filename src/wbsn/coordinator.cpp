@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 
 #include "csecg/obs/obs.hpp"
 #include "csecg/util/error.hpp"
 
 namespace csecg::wbsn {
+
+// The decoder routes its kernels through counting_, and its operators
+// point at its own members: neither survives a move.
+static_assert(!std::is_move_constructible_v<Coordinator>);
 
 Coordinator::Coordinator(const core::DecoderConfig& config,
                          coding::HuffmanCodebook codebook,
@@ -30,33 +35,55 @@ void Coordinator::set_prior_policy(const core::PriorPolicy& policy) {
   decoder_.set_prior_policy(policy);
 }
 
-std::optional<std::vector<float>> Coordinator::process_frame(
-    std::span<const std::uint8_t> frame) {
-  ++stats_.frames_received;
-  const auto packet = core::Packet::parse(frame);
-  if (!packet) {
-    ++stats_.frames_rejected;
-    obs::add("coordinator.frames.rejected");
-    return std::nullopt;
-  }
-  return decode_data_frame(*packet);
-}
-
 Coordinator::FrameResult Coordinator::consume_frame(
     std::span<const std::uint8_t> frame, std::vector<float>& window) {
   ++stats_.frames_received;
-  const auto packet = core::Packet::parse(frame);
-  if (!packet) {
-    ++stats_.frames_rejected;
-    obs::add("coordinator.frames.rejected");
-    return FrameResult::kRejected;
+  if (packets_.empty()) {
+    packets_.resize(1);
   }
-  if (packet->kind == core::PacketKind::kProfile) {
-    if (decoder_.consume(*packet, y_scratch_) !=
+  if (!core::Packet::parse_into(frame, packets_[0])) {
+    return reject(1);
+  }
+  return consume_packets(std::span<const core::Packet>(packets_.data(), 1),
+                         /*group=*/false, window);
+}
+
+Coordinator::FrameResult Coordinator::consume_group(
+    std::span<const std::vector<std::uint8_t>> frames,
+    std::vector<float>& windows_flat) {
+  stats_.frames_received += frames.size();
+  if (packets_.size() < frames.size()) {
+    packets_.resize(frames.size());
+  }
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (!core::Packet::parse_into(frames[i], packets_[i])) {
+      // One bad frame sinks the whole group: nothing decodes, so every
+      // frame of it counts as rejected.
+      return reject(frames.size());
+    }
+  }
+  return consume_packets(
+      std::span<const core::Packet>(packets_.data(), frames.size()),
+      /*group=*/true, windows_flat);
+}
+
+Coordinator::FrameResult Coordinator::reject(std::size_t frames) {
+  stats_.frames_rejected += frames;
+  obs::add("coordinator.frames.rejected");
+  return FrameResult::kRejected;
+}
+
+Coordinator::FrameResult Coordinator::consume_packets(
+    std::span<const core::Packet> packets, bool group,
+    std::vector<float>& windows_flat) {
+  if (packets.empty()) {
+    return reject(0);
+  }
+  if (packets.size() == 1 && packets[0].kind == core::PacketKind::kProfile) {
+    // Profiles ride their own un-tagged frame ahead of any group.
+    if (decoder_.consume(packets[0], y_scratch_) !=
         FrameResult::kProfileApplied) {
-      ++stats_.frames_rejected;
-      obs::add("coordinator.frames.rejected");
-      return FrameResult::kRejected;
+      return reject(1);
     }
     ++stats_.profiles_applied;
     obs::add("coordinator.profiles.applied");
@@ -67,60 +94,18 @@ Coordinator::FrameResult Coordinator::consume_frame(
     }
     return FrameResult::kProfileApplied;
   }
-  auto decoded = decode_data_frame(*packet);
-  if (!decoded) {
-    return FrameResult::kRejected;
-  }
-  window = std::move(*decoded);
-  return FrameResult::kWindow;
-}
 
-Coordinator::FrameResult Coordinator::consume_group(
-    std::span<const std::vector<std::uint8_t>> frames,
-    std::vector<float>& windows_flat) {
-  stats_.frames_received += frames.size();
-  group_packets_.clear();
-  group_packets_.reserve(frames.size());
-  for (const auto& frame : frames) {
-    auto packet = core::Packet::parse(frame);
-    if (!packet) {
-      // One bad frame sinks the whole group: nothing decodes, so every
-      // frame of it counts as rejected.
-      stats_.frames_rejected += frames.size();
-      obs::add("coordinator.frames.rejected");
-      return FrameResult::kRejected;
-    }
-    group_packets_.push_back(std::move(*packet));
+  obs::SpanScope span(group ? "window.decode.group" : "window.decode",
+                      packets[0].sequence);
+  if (group) {
+    span.attribute("leads", static_cast<double>(packets.size()));
   }
-  if (group_packets_.size() == 1 &&
-      group_packets_.front().kind == core::PacketKind::kProfile) {
-    // Profiles ride their own un-tagged frame ahead of the group.
-    if (decoder_.consume(group_packets_.front(), y_scratch_) !=
-        FrameResult::kProfileApplied) {
-      ++stats_.frames_rejected;
-      obs::add("coordinator.frames.rejected");
-      return FrameResult::kRejected;
-    }
-    ++stats_.profiles_applied;
-    obs::add("coordinator.profiles.applied");
-    if (last_window_.size() != display_samples()) {
-      last_window_.clear();
-    }
-    return FrameResult::kProfileApplied;
-  }
-
-  obs::SpanScope span("window.decode.group",
-                      group_packets_.front().sequence);
-  span.attribute("leads", static_cast<double>(group_packets_.size()));
   linalg::OpCounterScope scope;
   const auto start = std::chrono::steady_clock::now();
-  const auto windows = decoder_.decode_group<float>(
-      std::span<const core::Packet>(group_packets_));
+  const auto windows = decoder_.decode_group<float>(packets);
   const auto stop = std::chrono::steady_clock::now();
   if (!windows) {
-    stats_.frames_rejected += frames.size();
-    obs::add("coordinator.frames.rejected");
-    return FrameResult::kRejected;
+    return reject(packets.size());
   }
 
   const auto& ops = scope.counts();
@@ -146,33 +131,6 @@ Coordinator::FrameResult Coordinator::consume_group(
   }
   last_window_ = windows_flat;
   return FrameResult::kWindow;
-}
-
-std::optional<std::vector<float>> Coordinator::decode_data_frame(
-    const core::Packet& packet) {
-  obs::SpanScope span("window.decode", packet.sequence);
-  linalg::OpCounterScope scope;
-  const auto start = std::chrono::steady_clock::now();
-  const auto window = decoder_.decode<float>(packet);
-  const auto stop = std::chrono::steady_clock::now();
-  if (!window) {
-    ++stats_.frames_rejected;
-    obs::add("coordinator.frames.rejected");
-    return std::nullopt;
-  }
-
-  const auto& ops = scope.counts();
-  stats_.ops_total += ops;
-  stats_.modelled_seconds_total += model_.seconds(ops);
-  stats_.host_seconds_total +=
-      std::chrono::duration<double>(stop - start).count();
-  stats_.iterations_total += static_cast<double>(window->iterations);
-  ++stats_.windows_reconstructed;
-  span.attribute("iterations", static_cast<double>(window->iterations));
-  span.attribute("modelled_seconds", model_.seconds(ops));
-  obs::observe("coordinator.decode.modelled_seconds", model_.seconds(ops));
-  last_window_ = window->samples;
-  return window->samples;
 }
 
 std::vector<float> Coordinator::conceal_hold_last() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <utility>
 
 #include "csecg/core/packet.hpp"
 #include "csecg/util/error.hpp"
@@ -23,31 +24,20 @@ constexpr const char* kDeadlineMisses = "fleet.deadline.misses";
 /// flag), except for inbox/stats.frames_submitted which submit() updates
 /// under the fleet mutex.
 struct FleetCoordinator::NodeState {
-  NodeState(std::uint32_t node_id, const core::DecoderConfig& config,
-            coding::HuffmanCodebook codebook, const ArqConfig& arq_config)
-      : id(node_id),
-        decoder(config, std::move(codebook)),
-        leads(std::max<std::size_t>(1, config.cs.leads)),
+  /// \p decoder_args construct the node's Decoder in place: a
+  /// (DecoderConfig, HuffmanCodebook) pair or a StreamProfile.
+  template <typename... DecoderArgs>
+  explicit NodeState(const ArqConfig& arq_config,
+                     DecoderArgs&&... decoder_args)
+      : decoder(std::forward<DecoderArgs>(decoder_args)...),
+        leads(std::max<std::size_t>(1, decoder.config().cs.leads)),
         arq(arq_config, /*first_sequence=*/0),
         latency_hist(&session.registry().histogram(kDecodeSeconds)),
         // Concealment before the first good window paints a flat line —
         // one per lead on a group stream.
-        last_window(config.cs.window * leads, 0.0f) {
-    stats.node_id = node_id;
-  }
+        last_window(decoder.config().cs.window * leads, 0.0f) {}
 
-  NodeState(std::uint32_t node_id, const core::StreamProfile& profile,
-            const ArqConfig& arq_config)
-      : id(node_id),
-        decoder(profile),
-        leads(std::max<std::size_t>(1, profile.leads)),
-        arq(arq_config, /*first_sequence=*/0),
-        latency_hist(&session.registry().histogram(kDecodeSeconds)),
-        last_window(profile.window * leads, 0.0f) {
-    stats.node_id = node_id;
-  }
-
-  std::uint32_t id;
+  std::uint32_t id = 0;
   core::Decoder decoder;
   /// Lead-group width of the stream (1 = classic single-lead). Updated
   /// when an in-band re-profile changes it.
@@ -65,19 +55,20 @@ struct FleetCoordinator::NodeState {
   /// subtracting the running count maps a frame's sequence back to the
   /// sender's input-window index for the sink. Zero on v0 streams.
   std::uint16_t profile_slots = 0;
-  std::vector<float> last_window;  ///< last good reconstruction
+  std::vector<float> last_window;  ///< last good reconstruction, all leads
   // Per-node decode scratch, reused every window (allocation-free once
-  // warm; the worker's SolverWorkspace holds the solver half).
+  // warm; the worker's SolverWorkspace holds the solver half). A
+  // decodable unit — a single-lead window or a whole lead group —
+  // entropy-decodes and joins the pending rows until flush_pending
+  // reconstructs them: y_flat holds the integer measurement rows back
+  // to back (y_scratch stages the second and later units of a batch),
+  // sink_slots and sink_wires each unit's input-window index and wire
+  // sequence. window_batch never shrinks, so a partial flush does not
+  // drop warmed sample buffers.
   std::vector<std::int32_t> y_scratch;
-  core::DecodedWindow<float> window_scratch;
-  // Batched-decode scratch (decode_batch > 1): decodable windows buffer
-  // here until a flush point. y_flat holds the pending integer
-  // measurement rows back to back; sink_slots their input-window
-  // indices. window_batch never shrinks, so a partial final flush does
-  // not drop warmed sample buffers.
   std::vector<std::int32_t> y_flat;
   std::vector<std::uint16_t> sink_slots;
-  std::vector<std::uint16_t> sink_wires;  ///< wire sequences, same order
+  std::vector<std::uint16_t> sink_wires;
   std::vector<core::DecodedWindow<float>> window_batch;
   /// Lead-group reassembly (leads > 1). A group window's frames share
   /// one sequence, which the one-buffer-per-sequence ArqReceiver cannot
@@ -90,8 +81,8 @@ struct FleetCoordinator::NodeState {
       assembling;
   std::map<std::uint16_t, std::vector<std::vector<std::uint8_t>>>
       ready_groups;
-  std::vector<core::Packet> group_packets;  ///< group parse scratch
-  std::vector<core::DecodedWindow<float>> group_windows;
+  /// Group parse targets, one per lead, kept like packet_scratch.
+  std::vector<core::Packet> group_packets;
   FleetNodeStats stats;
 };
 
@@ -126,35 +117,29 @@ FleetCoordinator::~FleetCoordinator() {
 
 std::uint32_t FleetCoordinator::add_node(const core::DecoderConfig& config,
                                          coding::HuffmanCodebook codebook) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CSECG_CHECK(!closed_, "fleet already finished");
-  const auto id = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.push_back(std::make_unique<NodeState>(id, config,
-                                               std::move(codebook),
-                                               config_.arq));
-  if (config_.backend != nullptr) {
-    nodes_.back()->decoder.set_backend(*config_.backend);
-  }
-  nodes_.back()->decoder.set_prior_policy(config_.prior);
-  if (!config_.trace_spans) {
-    nodes_.back()->session.tracer().set_enabled(false);
-  }
-  return id;
+  return register_node(
+      std::make_unique<NodeState>(config_.arq, config, std::move(codebook)));
 }
 
 std::uint32_t FleetCoordinator::add_node(const core::StreamProfile& profile) {
+  return register_node(std::make_unique<NodeState>(config_.arq, profile));
+}
+
+std::uint32_t FleetCoordinator::register_node(
+    std::unique_ptr<NodeState> node) {
+  if (config_.backend != nullptr) {
+    node->decoder.set_backend(*config_.backend);
+  }
+  node->decoder.set_prior_policy(config_.prior);
+  if (!config_.trace_spans) {
+    node->session.tracer().set_enabled(false);
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   CSECG_CHECK(!closed_, "fleet already finished");
-  const auto id = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.push_back(std::make_unique<NodeState>(id, profile, config_.arq));
-  if (config_.backend != nullptr) {
-    nodes_.back()->decoder.set_backend(*config_.backend);
-  }
-  nodes_.back()->decoder.set_prior_policy(config_.prior);
-  if (!config_.trace_spans) {
-    nodes_.back()->session.tracer().set_enabled(false);
-  }
-  return id;
+  node->id = static_cast<std::uint32_t>(nodes_.size());
+  node->stats.node_id = node->id;
+  nodes_.push_back(std::move(node));
+  return nodes_.back()->id;
 }
 
 std::size_t FleetCoordinator::node_count() const {
@@ -385,29 +370,37 @@ void FleetCoordinator::handle_event(NodeState& node,
     conceal(node, slot, event.sequence);
     return;
   }
-  if (node.leads > 1) {
-    const auto ready = node.ready_groups.find(event.sequence);
-    if (ready != node.ready_groups.end()) {
-      auto frames = std::move(ready->second);
-      node.ready_groups.erase(ready);
-      flush_pending(node, workspace);
-      decode_group_event(node, frames, slot, event.sequence, workspace);
-      return;
+  // The decodable unit: a group window the ARQ released through its
+  // placeholder, else the event's own frame — a single-lead window is
+  // the lead group of one.
+  bool parsed = true;
+  std::span<const core::Packet> unit;
+  const auto ready = node.leads > 1 ? node.ready_groups.find(event.sequence)
+                                    : node.ready_groups.end();
+  if (ready != node.ready_groups.end()) {
+    auto& frames = ready->second;
+    if (node.group_packets.size() < frames.size()) {
+      node.group_packets.resize(frames.size());
     }
-    // No parked group: the event carries its own frame (a kProfile
-    // announcement) — fall through to the classic per-frame path.
-  }
-  const auto start = std::chrono::steady_clock::now();
-  bool decoded = false;
-  if (core::Packet::parse_into(event.frame, node.packet_scratch)) {
-    const core::Packet& packet = node.packet_scratch;
-    if (packet.kind == core::PacketKind::kProfile) {
+    for (std::size_t l = 0; parsed && l < frames.size(); ++l) {
+      parsed = core::Packet::parse_into(frames[l], node.group_packets[l]);
+    }
+    unit = std::span<const core::Packet>(node.group_packets.data(),
+                                         frames.size());
+    for (auto& frame : frames) {
+      recycle(std::move(frame));
+    }
+    node.ready_groups.erase(ready);
+  } else {
+    parsed = core::Packet::parse_into(event.frame, node.packet_scratch);
+    unit = std::span<const core::Packet>(&node.packet_scratch, 1);
+    if (parsed && node.packet_scratch.kind == core::PacketKind::kProfile) {
       // In-band re-profile changes the decode geometry out from under any
-      // buffered rows, and its slot ordering matters to the sink: drain
-      // the batch first.
+      // pending rows, and its slot ordering matters to the sink: drain
+      // them first.
       flush_pending(node, workspace);
       ++node.profile_slots;
-      if (node.decoder.consume(packet, node.y_scratch) ==
+      if (node.decoder.consume(node.packet_scratch, node.y_scratch) ==
           core::Decoder::FrameOutcome::kProfileApplied) {
         ++node.stats.profiles_applied;
         if (config_.flight != nullptr) {
@@ -431,50 +424,19 @@ void FleetCoordinator::handle_event(NodeState& node,
       }
       return;
     }
-    if (node.decoder.decode_measurements_into(packet, node.y_scratch)) {
-      if (decode_mode() == DecodeMode::kConcealOnly) {
-        // Shed by the admission tier: the entropy decode above advanced
-        // the differential chain (y_scratch holds the exact y_t), so the
-        // stream resumes exact decodes once pressure clears, but the
-        // FISTA solve is skipped and the viewer gets a concealment.
-        flush_pending(node, workspace);
-        ++node.stats.windows_shed_concealed;
-        conceal(node, slot, event.sequence);
-        return;
-      }
-      if (config_.decode_batch > 1) {
-        // Entropy decode ran (it is sequential inter-packet state); the
-        // reconstruction is deferred into the node's batch.
-        node.y_flat.insert(node.y_flat.end(), node.y_scratch.begin(),
-                           node.y_scratch.end());
-        node.sink_slots.push_back(slot);
-        node.sink_wires.push_back(event.sequence);
-        if (node.sink_slots.size() >= config_.decode_batch) {
-          flush_pending(node, workspace);
-        }
-        return;
-      }
-      if (config_.trace_spans) {
-        obs::SpanScope span("window.decode", packet.sequence);
-        node.decoder.reconstruct_into<float>(
-            std::span<const std::int32_t>(node.y_scratch), workspace,
-            node.window_scratch);
-        span.attribute("iterations",
-                       static_cast<double>(node.window_scratch.iterations));
-      } else {
-        node.decoder.reconstruct_into<float>(
-            std::span<const std::int32_t>(node.y_scratch), workspace,
-            node.window_scratch);
-      }
-      decoded = true;
-    }
   }
-  if (!decoded) {
+  // The first pending unit entropy-decodes straight into the pending
+  // rows, so a node that flushes every unit keeps one measurement
+  // buffer; a later one (decode_batch > 1) decodes aside and appends.
+  const bool first = node.sink_slots.empty();
+  std::vector<std::int32_t>& y = first ? node.y_flat : node.y_scratch;
+  if (!parsed || !node.decoder.decode_group_measurements_into(unit, y)) {
     flush_pending(node, workspace);
     // CRC-clean but undecodable: typically a differential stranded
     // behind an abandoned gap, waiting for the forced keyframe. Conceal
-    // it rather than skip the slot.
-    ++node.stats.frames_rejected;
+    // it rather than skip the slot; one bad lead sinks its whole group.
+    // Every frame of the unit is charged, keeping rejects in frame units.
+    node.stats.frames_rejected += unit.size();
     if (config_.flight != nullptr) {
       config_.flight->record(obs::FlightEventId::kFrameRejected, node.id,
                              slot);
@@ -482,207 +444,118 @@ void FleetCoordinator::handle_event(NodeState& node,
     conceal(node, slot, event.sequence);
     return;
   }
-  const double decode_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  ++node.stats.windows_reconstructed;
-  node.stats.decode_seconds_total += decode_s;
-  node.stats.iterations_total +=
-      static_cast<double>(node.window_scratch.iterations);
-  node.latency_hist->add(decode_s);
-  if (decode_s > config_.deadline_seconds) {
-    ++node.stats.deadline_misses;
-    node.session.registry().counter(kDeadlineMisses).add(1);
-    if (config_.flight != nullptr) {
-      config_.flight->record(obs::FlightEventId::kDeadlineMiss, node.id,
-                             slot,
-                             static_cast<std::uint64_t>(decode_s * 1e6));
-    }
-  }
-  node.last_window.assign(node.window_scratch.samples.begin(),
-                          node.window_scratch.samples.end());
-  if (sink_) {
-    FleetWindow window;
-    window.node_id = node.id;
-    window.sequence = slot;
-    window.wire_sequence = node.packet_scratch.sequence;
-    window.concealed = false;
-    window.decode_seconds = decode_s;
-    window.iterations = node.window_scratch.iterations;
-    window.samples = std::span<const float>(node.window_scratch.samples);
-    sink_(window);
-  }
-}
-
-void FleetCoordinator::decode_group_event(
-    NodeState& node, std::vector<std::vector<std::uint8_t>>& frames,
-    std::uint16_t slot, std::uint16_t wire_sequence,
-    solvers::SolverWorkspace& workspace) {
-  node.group_packets.clear();
-  node.group_packets.reserve(frames.size());
-  bool parsed = true;
-  for (const auto& frame : frames) {
-    node.group_packets.emplace_back();
-    if (!core::Packet::parse_into(frame, node.group_packets.back())) {
-      parsed = false;
-      break;
-    }
-  }
-  const auto start = std::chrono::steady_clock::now();
-  bool decoded = false;
-  if (parsed && node.decoder.decode_group_measurements_into(
-                    std::span<const core::Packet>(node.group_packets),
-                    node.y_scratch)) {
-    if (decode_mode() == DecodeMode::kConcealOnly) {
-      // Shed whole: the entropy decode advanced every lead's chain, so
-      // the group resumes exact decodes once pressure clears, but the
-      // joint solve is skipped and all leads get concealments together.
-      ++node.stats.windows_shed_concealed;
-      for (auto& frame : frames) {
-        recycle(std::move(frame));
-      }
-      conceal(node, slot, wire_sequence);
-      return;
-    }
-    if (node.group_windows.size() < node.leads) {
-      node.group_windows.resize(node.leads);
-    }
-    const std::span<core::DecodedWindow<float>> windows(
-        node.group_windows.data(), node.leads);
-    if (config_.trace_spans) {
-      obs::SpanScope span("window.decode.group", wire_sequence);
-      span.attribute("leads", static_cast<double>(node.leads));
-      node.decoder.reconstruct_group_into<float>(
-          std::span<const std::int32_t>(node.y_scratch), workspace,
-          windows);
-      span.attribute("iterations",
-                     static_cast<double>(windows.front().iterations));
-    } else {
-      node.decoder.reconstruct_group_into<float>(
-          std::span<const std::int32_t>(node.y_scratch), workspace,
-          windows);
-    }
-    decoded = true;
-  }
-  for (auto& frame : frames) {
-    recycle(std::move(frame));
-  }
-  if (!decoded) {
-    // One bad lead sinks the group: conceal whole rather than skew. All
-    // the group's frames are charged, keeping rejects in frame units.
-    node.stats.frames_rejected += frames.size();
-    if (config_.flight != nullptr) {
-      config_.flight->record(obs::FlightEventId::kFrameRejected, node.id,
-                             slot);
-    }
-    conceal(node, slot, wire_sequence);
+  if (decode_mode() == DecodeMode::kConcealOnly) {
+    // Shed by the admission tier: the entropy decode above advanced every
+    // lead's differential chain (y holds the exact y_t), so the
+    // stream resumes exact decodes once pressure clears, but the solve
+    // is skipped and the viewer gets a concealment, all leads together.
+    flush_pending(node, workspace);
+    ++node.stats.windows_shed_concealed;
+    conceal(node, slot, event.sequence);
     return;
   }
-  const double decode_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  // One group = one schedulable unit = one joint solve: the stats count
-  // it once, so latency quantiles and deadline misses stay per-solve.
-  ++node.stats.windows_reconstructed;
-  node.stats.decode_seconds_total += decode_s;
-  node.stats.iterations_total +=
-      static_cast<double>(node.group_windows.front().iterations);
-  node.latency_hist->add(decode_s);
-  if (decode_s > config_.deadline_seconds) {
-    ++node.stats.deadline_misses;
-    node.session.registry().counter(kDeadlineMisses).add(1);
-    if (config_.flight != nullptr) {
-      config_.flight->record(obs::FlightEventId::kDeadlineMiss, node.id,
-                             slot,
-                             static_cast<std::uint64_t>(decode_s * 1e6));
-    }
+  // Entropy decode ran (it is sequential inter-packet state); the
+  // reconstruction joins the node's pending rows. A group is one joint
+  // solve and flushes at once; single-lead windows batch up to
+  // decode_batch.
+  if (!first) {
+    node.y_flat.insert(node.y_flat.end(), y.begin(), y.end());
   }
-  const std::size_t n = node.decoder.config().cs.window;
-  node.last_window.resize(node.leads * n);
-  for (std::size_t l = 0; l < node.leads; ++l) {
-    const auto& samples = node.group_windows[l].samples;
-    std::copy(samples.begin(), samples.end(),
-              node.last_window.begin() + static_cast<std::ptrdiff_t>(l * n));
-  }
-  if (sink_) {
-    for (std::size_t l = 0; l < node.leads; ++l) {
-      FleetWindow window;
-      window.node_id = node.id;
-      window.sequence = slot;
-      window.wire_sequence = wire_sequence;
-      window.concealed = false;
-      window.decode_seconds = decode_s;
-      window.iterations = node.group_windows[l].iterations;
-      window.lead = static_cast<std::uint8_t>(l);
-      window.samples =
-          std::span<const float>(node.group_windows[l].samples);
-      sink_(window);
-    }
+  node.sink_slots.push_back(slot);
+  node.sink_wires.push_back(event.sequence);
+  if (unit.size() > 1 || node.sink_slots.size() >= config_.decode_batch) {
+    flush_pending(node, workspace);
   }
 }
 
 void FleetCoordinator::flush_pending(NodeState& node,
                                      solvers::SolverWorkspace& workspace) {
-  const std::size_t batch = node.sink_slots.size();
-  if (batch == 0) {
+  const std::size_t units = node.sink_slots.size();
+  if (units == 0) {
     return;
   }
-  if (node.window_batch.size() < batch) {
-    node.window_batch.resize(batch);
+  // Only a group node pends groups, one at a time; a single-lead node's
+  // units are rows of one batch panel.
+  const std::size_t leads = node.leads;
+  const bool group = leads > 1;
+  const bool batched = !group && config_.decode_batch > 1;
+  const std::size_t rows = units * leads;
+  if (node.window_batch.size() < rows) {
+    node.window_batch.resize(rows);
   }
   const std::span<core::DecodedWindow<float>> windows(
-      node.window_batch.data(), batch);
+      node.window_batch.data(), rows);
+  const std::span<const std::int32_t> y_flat(node.y_flat);
   const auto start = std::chrono::steady_clock::now();
-  if (config_.trace_spans) {
-    obs::SpanScope span("window.decode.batch");
-    span.attribute("batch", static_cast<double>(batch));
-    node.decoder.reconstruct_batch_into<float>(
-        std::span<const std::int32_t>(node.y_flat), batch, workspace,
-        windows);
-  } else {
-    node.decoder.reconstruct_batch_into<float>(
-        std::span<const std::int32_t>(node.y_flat), batch, workspace,
-        windows);
+  {
+    obs::SpanScope span(group     ? "window.decode.group"
+                        : batched ? "window.decode.batch"
+                                  : "window.decode",
+                        batched ? obs::kNoSequence : node.sink_wires.front());
+    if (group) {
+      span.attribute("leads", static_cast<double>(leads));
+      node.decoder.reconstruct_group_into<float>(y_flat, workspace, windows);
+    } else {
+      if (batched) {
+        span.attribute("batch", static_cast<double>(units));
+      }
+      node.decoder.reconstruct_batch_into<float>(y_flat, units, workspace,
+                                                 windows);
+    }
+    if (!batched) {
+      span.attribute("iterations",
+                     static_cast<double>(windows.front().iterations));
+    }
   }
   const double total_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  // The solver sweeps the batch in one pass, so per-window latency is the
-  // batch time split evenly — the number the deadline monitor cares
-  // about is "how long did this window occupy a worker".
-  const double per_window_s = total_s / static_cast<double>(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const core::DecodedWindow<float>& decoded = windows[b];
+  // The solver sweeps the pending units in one call, so each unit's
+  // latency is its share of that call — the number the deadline monitor
+  // cares about is "how long did this window occupy a worker".
+  const double unit_s = total_s / static_cast<double>(units);
+  for (std::size_t u = 0; u < units; ++u) {
+    const auto unit = windows.subspan(u * leads, leads);
+    // One group = one schedulable unit = one joint solve: the stats count
+    // it once, so latency quantiles and deadline misses stay per-solve.
     ++node.stats.windows_reconstructed;
-    node.stats.decode_seconds_total += per_window_s;
-    node.stats.iterations_total += static_cast<double>(decoded.iterations);
-    node.latency_hist->add(per_window_s);
-    if (per_window_s > config_.deadline_seconds) {
+    node.stats.decode_seconds_total += unit_s;
+    node.stats.iterations_total +=
+        static_cast<double>(unit.front().iterations);
+    node.latency_hist->add(unit_s);
+    if (unit_s > config_.deadline_seconds) {
       ++node.stats.deadline_misses;
       node.session.registry().counter(kDeadlineMisses).add(1);
       if (config_.flight != nullptr) {
-        config_.flight->record(
-            obs::FlightEventId::kDeadlineMiss, node.id, node.sink_slots[b],
-            static_cast<std::uint64_t>(per_window_s * 1e6));
+        config_.flight->record(obs::FlightEventId::kDeadlineMiss, node.id,
+                               node.sink_slots[u],
+                               static_cast<std::uint64_t>(unit_s * 1e6));
       }
     }
     if (sink_) {
-      FleetWindow window;
-      window.node_id = node.id;
-      window.sequence = node.sink_slots[b];
-      window.wire_sequence = node.sink_wires[b];
-      window.concealed = false;
-      window.decode_seconds = per_window_s;
-      window.iterations = decoded.iterations;
-      window.samples = std::span<const float>(decoded.samples);
-      sink_(window);
+      for (std::size_t l = 0; l < leads; ++l) {
+        FleetWindow window;
+        window.node_id = node.id;
+        window.sequence = node.sink_slots[u];
+        window.wire_sequence = node.sink_wires[u];
+        window.concealed = false;
+        window.decode_seconds = unit_s;
+        window.iterations = unit[l].iterations;
+        window.lead = static_cast<std::uint8_t>(l);
+        window.samples = std::span<const float>(unit[l].samples);
+        sink_(window);
+      }
     }
   }
-  node.last_window.assign(windows[batch - 1].samples.begin(),
-                          windows[batch - 1].samples.end());
-  // clear() keeps capacity: the next batch reuses the same storage.
+  // The last unit, every lead of it, is the next concealment reference.
+  const std::size_t n = node.decoder.config().cs.window;
+  node.last_window.resize(leads * n);
+  for (std::size_t l = 0; l < leads; ++l) {
+    const auto& samples = windows[rows - leads + l].samples;
+    std::copy(samples.begin(), samples.end(),
+              node.last_window.begin() + static_cast<std::ptrdiff_t>(l * n));
+  }
+  // clear() keeps capacity: the next flush reuses the same storage.
   node.y_flat.clear();
   node.sink_slots.clear();
   node.sink_wires.clear();

@@ -78,17 +78,13 @@ class Coordinator {
   /// coordinator invalidate the warm state automatically.
   void set_prior_policy(const core::PriorPolicy& policy);
 
-  /// Processes one received frame; returns the reconstructed window
-  /// (float — the iPhone path) or nullopt on a reject. A successful
-  /// reconstruction becomes the reference for later concealment.
-  /// kProfile frames reject here; v1 receivers use consume_frame.
-  std::optional<std::vector<float>> process_frame(
-      std::span<const std::uint8_t> frame);
-
-  /// Profile-aware variant: kProfile frames re-profile the decoder in
-  /// place (kProfileApplied — \p window untouched, concealment reference
-  /// dropped if the geometry changed); data frames reconstruct into
-  /// \p window (kWindow) exactly as process_frame.
+  /// Processes one received frame. kProfile frames re-profile the
+  /// decoder in place (kProfileApplied — \p window untouched,
+  /// concealment reference dropped if the geometry changed); a data
+  /// frame reconstructs into \p window (kWindow; float — the iPhone
+  /// path) and becomes the reference for later concealment. The frame is
+  /// the lead group of one, so on a lead-group stream a lone data frame
+  /// rejects (kRejected).
   FrameResult consume_frame(std::span<const std::uint8_t> frame,
                             std::vector<float>& window);
 
@@ -124,9 +120,14 @@ class Coordinator {
   void reset_stats() { stats_ = CoordinatorStats{}; }
 
  private:
-  /// Shared decode+account path of process_frame/consume_frame.
-  std::optional<std::vector<float>> decode_data_frame(
-      const core::Packet& packet);
+  /// The one decode path behind consume_frame and consume_group: applies
+  /// a lone kProfile packet, else decodes \p packets as one lead group
+  /// and accounts it. \p group picks the span (window.decode.group with
+  /// a leads attribute, or window.decode).
+  FrameResult consume_packets(std::span<const core::Packet> packets,
+                              bool group, std::vector<float>& windows_flat);
+  /// Counts \p frames rejected frames.
+  FrameResult reject(std::size_t frames);
 
   /// Samples one display refresh covers: window * leads (a group paints
   /// all its leads together, so concealment references span the group).
@@ -140,8 +141,9 @@ class Coordinator {
   platform::CortexA8Model model_;
   CoordinatorStats stats_;
   std::vector<float> last_window_;  ///< last good reconstruction
-  std::vector<std::int32_t> y_scratch_;  ///< consume_frame measurement reuse
-  std::vector<core::Packet> group_packets_;  ///< consume_group parse reuse
+  std::vector<std::int32_t> y_scratch_;  ///< profile-frame consume target
+  /// Parse targets; never shrinks, so every payload's capacity survives.
+  std::vector<core::Packet> packets_;
 };
 
 }  // namespace csecg::wbsn

@@ -106,14 +106,17 @@ struct FleetConfig {
   std::size_t queue_depth = 64;
   /// Per-window decode budget (the paper's 2 s window period).
   double deadline_seconds = 2.0;
-  /// Windows decoded per solver invocation on one node. With > 1, a
+  /// Single-lead windows decoded per solver invocation on one node. A
   /// worker drains up to this many consecutive frames from a node per
-  /// dispatch and runs their decodable windows as one panel through
-  /// Decoder::reconstruct_batch_into — every kernel and operator
-  /// traversal sweeps the whole batch, with results bitwise-equal to
-  /// sequential decodes (warm starts off; with warm starts the panel
-  /// shares the pre-batch prior, see decoder.hpp) and per-node sink
-  /// order preserved. 1 = the classic frame-per-dispatch path.
+  /// dispatch; their decodable windows pend as rows of one panel, which
+  /// runs through Decoder::reconstruct_batch_into once decode_batch
+  /// windows are pending or at the next non-window event — every kernel
+  /// and operator traversal sweeps the whole batch, with results
+  /// bitwise-equal to sequential decodes (warm starts off; with warm
+  /// starts the panel shares the pre-batch prior, see decoder.hpp) and
+  /// per-node sink order preserved. 1 = one frame per dispatch, each
+  /// window solved alone. A lead group is always one joint solve of its
+  /// own, whatever this says.
   std::size_t decode_batch = 1;
   /// Kernel backend every node decoder runs through. Null = the library
   /// default. Must outlive the fleet; the linalg singletons always do.
@@ -157,9 +160,14 @@ struct FleetWindow {
   /// end-to-end latency stamps are keyed by it (ingest sees only wire
   /// sequences; profile-offset slots are a decode-side notion).
   std::uint16_t wire_sequence = 0;
-  bool concealed = false;       ///< synthesised stand-in, not a decode
-  double decode_seconds = 0.0;  ///< host decode latency (0 if concealed)
-  std::size_t iterations = 0;   ///< FISTA iterations (0 if concealed)
+  bool concealed = false;  ///< synthesised stand-in, not a decode
+  /// Host reconstruct time charged to this window's unit (0 if
+  /// concealed): the wall time of the one reconstruct call that solved
+  /// it, split evenly over the units that call solved — a decode_batch
+  /// panel's windows share it, a lead group's leads all carry the whole
+  /// group's. Parsing and the entropy decode are not included.
+  double decode_seconds = 0.0;
+  std::size_t iterations = 0;  ///< FISTA iterations (0 if concealed)
   /// Lead index within the node's lead group (0 on single-lead streams).
   /// A group window delivers leads consecutive FleetWindows — same
   /// sequence, leads 0..L-1, all decoded or all concealed: the group is
@@ -300,6 +308,9 @@ class FleetCoordinator {
  private:
   struct NodeState;
 
+  /// The body both add_node overloads share: applies the fleet's
+  /// backend, prior policy and span switch, then assigns the id.
+  std::uint32_t register_node(std::unique_ptr<NodeState> node);
   void worker_loop();
   /// Appends \p frame to the node's inbox and wakes a worker. Caller
   /// holds mutex_ and has checked queue space.
@@ -318,17 +329,13 @@ class FleetCoordinator {
   /// abandonment all stay per group window.
   void assemble_group(NodeState& node, std::vector<std::uint8_t> frame,
                       ArqReceiver::Output& out);
-  /// Joint-decodes one complete, in-order group window; any reject or
-  /// shed conceals the whole group.
-  void decode_group_event(NodeState& node,
-                          std::vector<std::vector<std::uint8_t>>& frames,
-                          std::uint16_t slot, std::uint16_t wire_sequence,
-                          solvers::SolverWorkspace& workspace);
-  /// Decodes every window buffered for batching (no-op when none); the
-  /// barrier every non-window event crosses so sink order holds.
   /// Drops (and recycles) any parked assembly of \p sequence, counting
   /// the stranded frames into frames_discarded.
   void discard_assembly(NodeState& node, std::uint16_t sequence);
+  /// Reconstructs every pending unit (no-op when none) — the one place
+  /// that solves, accounts a decoded unit and hands it to the sink, one
+  /// FleetWindow per lead. The barrier every non-window event crosses so
+  /// sink order holds.
   void flush_pending(NodeState& node, solvers::SolverWorkspace& workspace);
   void conceal(NodeState& node, std::uint16_t sequence,
                std::uint16_t wire_sequence);

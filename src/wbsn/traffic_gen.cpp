@@ -106,46 +106,34 @@ TrafficModel::TrafficModel(const TrafficConfig& config) : config_(config) {
     }
 
     // Reference decode through the same entry points the fleet workers
-    // use (decode_measurements_into + reconstruct_into, or their group
-    // forms), so goldens are bitwise, not merely close. One golden per
-    // (*record* window, lead): the stream repeats the record, the
-    // entropy stage is lossless and FISTA is deterministic in
-    // (y, profile, backend), so window w reconstructs identically to
-    // window w mod record_windows().
+    // use (decode_group_measurements_into + reconstruct_group_into; a
+    // single-lead window is the group of one), so goldens are bitwise,
+    // not merely close. One golden per (*record* window, lead): the
+    // stream repeats the record, the entropy stage is lossless and FISTA
+    // is deterministic in (y, profile, backend), so window w
+    // reconstructs identically to window w mod record_windows().
     core::Decoder reference(stream.profile);
     solvers::SolverWorkspace workspace;
     std::vector<std::int32_t> y;
+    std::vector<core::Packet> packets(leads);
+    std::vector<core::DecodedWindow<float>> outs(leads);
     const std::size_t goldens =
         std::min(record_windows_, config_.windows_per_stream);
     stream.golden_crc.reserve(goldens * leads);
-    if (leads == 1) {
-      core::DecodedWindow<float> out;
-      for (std::size_t w = 0; w < goldens; ++w) {
-        const auto packet = core::Packet::parse(stream.frames[w]);
-        CSECG_CHECK(packet.has_value(), "generated frame failed to parse");
-        CSECG_CHECK(reference.decode_measurements_into(*packet, y),
-                    "generated frame failed reference decode");
-        reference.reconstruct_into<float>(y, workspace, out);
-        stream.golden_crc.push_back(window_crc(out.samples));
+    for (std::size_t w = 0; w < goldens; ++w) {
+      for (std::size_t l = 0; l < leads; ++l) {
+        CSECG_CHECK(core::Packet::parse_into(stream.frames[w * leads + l],
+                                             packets[l]),
+                    "generated frame failed to parse");
       }
-    } else {
-      std::vector<core::Packet> packets(leads);
-      std::vector<core::DecodedWindow<float>> outs(leads);
-      for (std::size_t w = 0; w < goldens; ++w) {
-        for (std::size_t l = 0; l < leads; ++l) {
-          CSECG_CHECK(core::Packet::parse_into(stream.frames[w * leads + l],
-                                               packets[l]),
-                      "generated group frame failed to parse");
-        }
-        CSECG_CHECK(reference.decode_group_measurements_into(
-                        std::span<const core::Packet>(packets), y),
-                    "generated group failed reference decode");
-        reference.reconstruct_group_into<float>(
-            std::span<const std::int32_t>(y), workspace,
-            std::span<core::DecodedWindow<float>>(outs));
-        for (std::size_t l = 0; l < leads; ++l) {
-          stream.golden_crc.push_back(window_crc(outs[l].samples));
-        }
+      CSECG_CHECK(reference.decode_group_measurements_into(
+                      std::span<const core::Packet>(packets), y),
+                  "generated window failed reference decode");
+      reference.reconstruct_group_into<float>(
+          std::span<const std::int32_t>(y), workspace,
+          std::span<core::DecodedWindow<float>>(outs));
+      for (std::size_t l = 0; l < leads; ++l) {
+        stream.golden_crc.push_back(window_crc(outs[l].samples));
       }
     }
     streams_.push_back(std::move(stream));

@@ -194,12 +194,13 @@ TEST(NodeCoordinatorTest, RoundTripOverFrames) {
   Coordinator coordinator(config, book);
   const auto& record = db.mote(0);
   std::size_t windows = 0;
+  std::vector<float> samples;
   for (std::size_t off = 0; off + 512 <= record.samples.size(); off += 512) {
     const auto frame = node.process_window(
         std::span<const std::int16_t>(record.samples.data() + off, 512));
-    const auto samples = coordinator.process_frame(frame);
-    ASSERT_TRUE(samples.has_value());
-    ASSERT_EQ(samples->size(), 512u);
+    ASSERT_EQ(coordinator.consume_frame(frame, samples),
+              Coordinator::FrameResult::kWindow);
+    ASSERT_EQ(samples.size(), 512u);
     ++windows;
   }
   EXPECT_EQ(node.stats().windows_encoded, windows);
@@ -217,7 +218,9 @@ TEST(NodeCoordinatorTest, GarbageFrameIsRejectedNotFatal) {
   const auto book = core::default_difference_codebook();
   Coordinator coordinator(config, book);
   const std::vector<std::uint8_t> garbage{1};
-  EXPECT_FALSE(coordinator.process_frame(garbage).has_value());
+  std::vector<float> window;
+  EXPECT_EQ(coordinator.consume_frame(garbage, window),
+            Coordinator::FrameResult::kRejected);
   EXPECT_EQ(coordinator.stats().frames_rejected, 1u);
 }
 
@@ -235,7 +238,9 @@ TEST(NodeCoordinatorTest, ConcealmentDropsWarmPrior) {
   const auto& record = db.mote(0);
   const auto frame = node.process_window(
       std::span<const std::int16_t>(record.samples.data(), 512));
-  ASSERT_TRUE(coordinator.process_frame(frame).has_value());
+  std::vector<float> window;
+  ASSERT_EQ(coordinator.consume_frame(frame, window),
+            Coordinator::FrameResult::kWindow);
   ASSERT_TRUE(coordinator.decoder().has_warm_prior<float>());
 
   const auto held = coordinator.conceal_hold_last();
@@ -245,7 +250,8 @@ TEST(NodeCoordinatorTest, ConcealmentDropsWarmPrior) {
   // Re-prime through the next frame, then the interpolating strategy.
   const auto frame2 = node.process_window(
       std::span<const std::int16_t>(record.samples.data() + 512, 512));
-  ASSERT_TRUE(coordinator.process_frame(frame2).has_value());
+  ASSERT_EQ(coordinator.consume_frame(frame2, window),
+            Coordinator::FrameResult::kWindow);
   ASSERT_TRUE(coordinator.decoder().has_warm_prior<float>());
   const std::vector<float> prev(512, 0.0f);
   const std::vector<float> next(512, 1.0f);
