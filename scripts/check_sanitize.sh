@@ -10,8 +10,11 @@
 # backpressure), the gateway cases that drive its workers through shed
 # tiers, NACK suppression and delivery stamps (GatewayTest; the long
 # GatewaySoakTest stays out — scripts/check_soak.sh soaks under TSan),
-# the RingBuffer close-while-blocked races and the shared metrics
-# registry. Pass an explicit ctest regex to widen it.
+# the RingBuffer close-while-blocked races, the shared metrics registry,
+# and the three-thread real-time pipeline (PipelineTest,
+# TransportE2eTest), whose consumer thread drives the same Coordinator
+# as the fleet workers and sends its feedback into the producer's
+# StreamSession. Pass an explicit ctest regex to widen it.
 #
 # Usage: scripts/check_sanitize.sh [--tsan] [build-dir] [ctest-regex]
 set -euo pipefail
@@ -26,7 +29,7 @@ fi
 
 if [[ "${mode}" == "tsan" ]]; then
   build_dir="${1:-${repo_root}/build-tsan}"
-  filter="${2:-Fleet|GatewayTest|RingBuffer|ObsMetrics}"
+  filter="${2:-Fleet|GatewayTest|RingBuffer|ObsMetrics|PipelineTest|TransportE2eTest}"
   sanitize_flags=(-DCSECG_SANITIZE=OFF -DCSECG_SANITIZE_THREAD=ON)
 else
   build_dir="${1:-${repo_root}/build-asan}"

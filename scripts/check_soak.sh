@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Bounded gateway soak under ThreadSanitizer (~60 s on one CI core).
+# Bounded gateway soak under ThreadSanitizer (~100 s on one CI core).
 #
 # Builds csecg_tool with TSan and runs `csecg_tool gateway --soak` at a
 # reduced scale with the shed path forced (--force-shed pins a
@@ -9,9 +9,9 @@
 #
 # The tool exits non-zero if any soak gate fails: a single CRC mismatch
 # between a delivered reconstruction and its clean reference decode, a
-# shed-ledger imbalance, an unbounded queue, a shard left degraded, or a
-# steady-state heap allocation. halt_on_error turns the first data race
-# into a failure too.
+# shed-ledger imbalance, an unbounded queue, a shard left degraded, a
+# steady phase that offered nothing, or a steady-state heap allocation.
+# halt_on_error turns the first data race into a failure too.
 #
 # Usage: scripts/check_soak.sh [build-dir]
 set -euo pipefail
@@ -30,17 +30,21 @@ cmake --build "${build_dir}" -j"$(nproc)" --target csecg_tool
 
 # Reduced-scale soak: same phase structure as the full 10k-node run
 # (burst + forced shed slice, recovery to kFullDecode, paced steady
-# band), sized to finish inside a CI minute under TSan's slowdown. The
-# live telemetry plane runs alongside: a timeline sampling every shard
-# registry, anomaly-triggered flight dumps, and a final Prometheus
-# exposition — all under the same zero-allocation steady gate.
+# band), sized to finish in under two CI minutes under TSan's slowdown.
+# --warmup 48 puts the warm tail's tick band, which the steady phase
+# replays, where duty-cycled nodes connect (about 50 steady offers); at
+# --warmup 32 that band is silent, the steady gates would hold
+# vacuously, and run_soak fails the run. The live telemetry
+# plane runs alongside: a timeline sampling every shard registry,
+# anomaly-triggered flight dumps, and a final Prometheus exposition —
+# all under the same zero-allocation steady gate.
 telemetry_dir="$(mktemp -d)"
 trap 'rm -rf "${telemetry_dir}"' EXIT
 TSAN_OPTIONS=halt_on_error=1 \
   "${build_dir}/tools/csecg_tool" gateway --soak \
     --nodes 200 --streams 2 --records 1 --windows 24 --clusters 8 \
     --duty-on 4 --duty-period 128 --shards 2 --workers 1 --queue 32 \
-    --batch 2 --warmup 32 --steady 24 --force-shed 1 \
+    --batch 2 --warmup 48 --steady 24 --force-shed 1 \
     --timeline "${telemetry_dir}/soak_timeline.jsonl" \
     --flight "${telemetry_dir}/soak_flight.jsonl" \
     --prom "${telemetry_dir}/soak.prom"

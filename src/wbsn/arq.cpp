@@ -218,14 +218,6 @@ void ArqReceiver::maintain(double now, Output& out) {
   }
 }
 
-ArqReceiver::Output ArqReceiver::on_frame(std::uint16_t sequence,
-                                          std::vector<std::uint8_t> frame,
-                                          double now) {
-  Output out;
-  on_frame(sequence, std::move(frame), now, out);
-  return out;
-}
-
 void ArqReceiver::on_frame(std::uint16_t sequence,
                            std::vector<std::uint8_t> frame, double now,
                            Output& out) {
@@ -300,12 +292,6 @@ void ArqReceiver::on_frame(std::uint16_t sequence,
   maintain(now, out);
 }
 
-ArqReceiver::Output ArqReceiver::on_corrupt_frame(double now) {
-  Output out;
-  on_corrupt_frame(now, out);
-  return out;
-}
-
 void ArqReceiver::on_corrupt_frame(double now, Output& out) {
   ++stats_.corrupt_frames;
   obs::add("arq.frames.corrupt");
@@ -314,22 +300,10 @@ void ArqReceiver::on_corrupt_frame(double now, Output& out) {
   }
 }
 
-ArqReceiver::Output ArqReceiver::on_tick(double now) {
-  Output out;
-  on_tick(now, out);
-  return out;
-}
-
 void ArqReceiver::on_tick(double now, Output& out) {
   if (config_.enabled) {
     maintain(now, out);
   }
-}
-
-ArqReceiver::Output ArqReceiver::finish(double now) {
-  Output out;
-  finish(now, out);
-  return out;
 }
 
 void ArqReceiver::finish(double now, Output& out) {

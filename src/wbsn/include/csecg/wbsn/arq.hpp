@@ -36,6 +36,15 @@ inline bool seq_less(std::uint16_t a, std::uint16_t b) {
              static_cast<std::uint16_t>(b - a)) > 0;
 }
 
+/// seq_less as a map ordering: the oldest sequence sorts first across
+/// the 65535 -> 0 wrap, as long as the keys held at once span less than
+/// half the sequence space (every bounded reorder window does).
+struct SeqLess {
+  bool operator()(std::uint16_t a, std::uint16_t b) const {
+    return seq_less(a, b);
+  }
+};
+
 struct ArqConfig {
   /// Master switch: off reproduces the seed's fire-and-forget link.
   bool enabled = true;
@@ -156,31 +165,26 @@ class ArqReceiver {
   explicit ArqReceiver(const ArqConfig& config = {},
                        std::uint16_t first_sequence = 0);
 
+  // Every entry point appends its events and feedback to \p out, whose
+  // vector capacity the caller owns: a receive loop that clears and
+  // reuses one Output per frame keeps the in-order fast path
+  // allocation-free once warm.
+
   /// A CRC-clean frame arrived carrying \p sequence.
-  Output on_frame(std::uint16_t sequence, std::vector<std::uint8_t> frame,
-                  double now);
+  void on_frame(std::uint16_t sequence, std::vector<std::uint8_t> frame,
+                double now, Output& out);
 
   /// A frame failed the CRC check; its header cannot be trusted, so the
   /// loss surfaces later as a sequence gap.
-  Output on_corrupt_frame(double now);
+  void on_corrupt_frame(double now, Output& out);
 
   /// Timer maintenance: re-NACK overdue gaps, abandon hopeless ones.
-  Output on_tick(double now);
+  void on_tick(double now, Output& out);
 
   /// End of stream: abandon every outstanding gap and flush the buffer.
-  Output finish(double now);
-
-  /// Append-into variants of the four entry points above: events and
-  /// feedback are appended to \p out, whose vector capacity the caller
-  /// owns. A receive loop that clears and reuses one Output per frame
-  /// keeps the in-order fast path allocation-free once warm (the
-  /// by-value overloads allocate two vectors per call).
-  void on_frame(std::uint16_t sequence, std::vector<std::uint8_t> frame,
-                double now, Output& out);
-  void on_corrupt_frame(double now, Output& out);
-  void on_tick(double now, Output& out);
   void finish(double now, Output& out);
 
+  const ArqConfig& config() const { return config_; }
   const ArqRxStats& stats() const { return stats_; }
 
  private:
@@ -189,12 +193,6 @@ class ArqReceiver {
     double next_nack = 0.0;
     std::size_t nacks = 0;
   };
-  struct SeqOrder {
-    bool operator()(std::uint16_t a, std::uint16_t b) const {
-      return seq_less(a, b);
-    }
-  };
-
   void note_missing(std::uint16_t sequence, double now, Output& out);
   void release_ready(Output& out);
   void maintain(double now, Output& out);
@@ -202,8 +200,8 @@ class ArqReceiver {
 
   ArqConfig config_;
   std::uint16_t expected_;
-  std::map<std::uint16_t, std::vector<std::uint8_t>, SeqOrder> buffer_;
-  std::map<std::uint16_t, Missing, SeqOrder> missing_;
+  std::map<std::uint16_t, std::vector<std::uint8_t>, SeqLess> buffer_;
+  std::map<std::uint16_t, Missing, SeqLess> missing_;
   ArqRxStats stats_;
 };
 

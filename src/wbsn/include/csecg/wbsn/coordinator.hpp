@@ -2,21 +2,37 @@
 #define CSECG_WBSN_COORDINATOR_HPP
 
 /// \file coordinator.hpp
-/// The WBSN-coordinator role (the iPhone): receive frames, run the
-/// reconstruction pipeline at 32-bit precision, and account the Cortex-A8
-/// cost of every packet so CPU usage (§V: 17.7 % at CR = 50) falls out.
-/// When the ARQ gives a window up as unrecoverable, the coordinator can
-/// conceal it from the last good reconstruction so the display never
-/// shows garbage or stalls.
+/// The WBSN-coordinator role (the iPhone, §IV-B) and the one receive
+/// path of the system. A Coordinator terminates one sensor stream: it
+/// takes the stream's link frames one at a time, checks each CRC,
+/// reassembles lead groups, runs the receiver half of the ARQ (reorder,
+/// NACK, abandon), Huffman-decodes each released window, rebuilds y_t,
+/// reconstructs at 32-bit precision and hands every decoded or concealed
+/// window, in sequence order, to its owner's callback. A window the ARQ
+/// gives up on, or one that does not decode, is concealed by repeating
+/// the last good reconstruction, so the display never shows garbage or
+/// stalls.
+///
+/// Every receiver in the system is built on it: FleetCoordinator runs
+/// one per node on its worker pool, RealTimePipeline one on its consumer
+/// thread and run_multi_lead one per stream.
+///
+/// When the decoder's backend is a linalg::CountingBackend (the pipeline
+/// and run_multi_lead install one), every reconstruct's op mix feeds the
+/// Cortex-A8 cycle model, so CPU usage (§V: 17.7 % at CR = 50) falls
+/// out. On a plain backend (the fleet) the modelled time stays zero.
 
 #include <cstdint>
-#include <optional>
+#include <functional>
+#include <map>
 #include <span>
 #include <vector>
 
 #include "csecg/coding/huffman.hpp"
 #include "csecg/core/decoder.hpp"
+#include "csecg/obs/flight_recorder.hpp"
 #include "csecg/platform/cortex_a8.hpp"
+#include "csecg/wbsn/arq.hpp"
 
 namespace csecg::wbsn {
 
@@ -26,16 +42,59 @@ enum class ConcealmentStrategy : std::uint8_t {
   kInterpolate = 1,  ///< cross-fade between the bracketing good windows
 };
 
+/// One in-order delivery to the owner. \p samples points into receiver
+/// scratch that is reused for the next window of the same stream:
+/// consume or copy it inside the callback.
+struct FleetWindow {
+  std::uint32_t node_id = 0;
+  /// The sender's input-window index: the wire sequence minus the
+  /// kProfile frames seen so far, so sinks can align reconstructions
+  /// with the original stream even on v1 sessions.
+  std::uint16_t sequence = 0;
+  /// The raw on-wire frame sequence this delivery answers. The gateway's
+  /// end-to-end latency stamps are keyed by it (ingest sees only wire
+  /// sequences; profile-offset slots are a decode-side notion).
+  std::uint16_t wire_sequence = 0;
+  bool concealed = false;  ///< synthesised stand-in, not a decode
+  /// Host reconstruct time charged to this window's unit (0 if
+  /// concealed): the wall time of the one reconstruct call that solved
+  /// it, split evenly over the units that call solved — a decode_batch
+  /// panel's windows share it, a lead group's leads all carry the whole
+  /// group's. Parsing and the entropy decode are not included.
+  double decode_seconds = 0.0;
+  std::size_t iterations = 0;  ///< FISTA iterations (0 if concealed)
+  /// Lead index within the stream's lead group (0 on single-lead
+  /// streams). A group window delivers leads consecutive FleetWindows —
+  /// same sequence, leads 0..L-1, all decoded or all concealed: the group
+  /// is one schedulable unit, so leads never skew.
+  std::uint8_t lead = 0;
+  std::span<const float> samples;
+};
+
+/// The receive ledger of one stream. For clean in-order traffic without
+/// duplicates every received frame lands in exactly one bucket:
+///   received == leads*(reconstructed + shed_concealed) + profiles_applied
+///               + rejected + corrupt + discarded
 struct CoordinatorStats {
-  std::size_t frames_received = 0;
-  std::size_t frames_rejected = 0;  ///< parse/decode failures
+  std::size_t frames_corrupt = 0;   ///< CRC-rejected arrivals
+  std::size_t frames_rejected = 0;  ///< CRC-clean but undecodable
+  /// Lead-group frames dropped without a decode or reject of their own:
+  /// siblings of a partial group whose sequence was abandoned (the gap
+  /// concealment stands in for the whole group). Zero on single-lead
+  /// streams.
+  std::size_t frames_discarded = 0;
+  /// Decoded units: one per single-lead window, one per lead group (the
+  /// group is one joint solve).
   std::size_t windows_reconstructed = 0;
   std::size_t windows_concealed = 0;  ///< synthesised, not reconstructed
-  std::size_t profiles_applied = 0;   ///< in-band kProfile frames consumed
-  double modelled_seconds_total = 0.0;  ///< Cortex-A8 model time
-  double host_seconds_total = 0.0;      ///< wall clock on this machine
+  /// Concealments forced by conceal_only (already included in
+  /// windows_concealed): windows an admission controller shed.
+  std::size_t windows_shed_concealed = 0;
+  std::size_t profiles_applied = 0;  ///< in-band kProfile frames consumed
   double iterations_total = 0.0;
-  linalg::OpCounts ops_total;
+  double decode_seconds_total = 0.0;    ///< host reconstruct time
+  double modelled_seconds_total = 0.0;  ///< Cortex-A8 model time
+  linalg::OpCounts ops_total;           ///< counted reconstruct ops
 
   double mean_iterations() const {
     return windows_reconstructed == 0
@@ -45,105 +104,147 @@ struct CoordinatorStats {
   }
 };
 
-/// The Coordinator always decodes through a CountingBackend wrapped
-/// around the configured kernel backend (config.backend, or the library
-/// default reference loops), so every window's op mix feeds the
-/// Cortex-A8 cycle model. It prices the §IV-B NEON schedule whichever
-/// kernels execute. Pass a plain backend — wrapping a counting one would
-/// double-charge.
+/// One stream's receiver. Not thread-safe: one thread drives it at a
+/// time (the fleet's scheduled flag guarantees this per node). Not
+/// movable either: its decoder's operators point at its own members.
 class Coordinator {
  public:
-  using FrameResult = core::Decoder::FrameOutcome;
+  /// Everything the owner plugs in, once, before the first frame.
+  struct Wiring {
+    /// Stamped on every FleetWindow and flight event.
+    std::uint32_t node_id = 0;
+    /// Single-lead windows reconstructed per solver call: decodable
+    /// windows pend as rows of one panel until decode_batch are pending
+    /// or the next non-window event (see FleetConfig::decode_batch). A
+    /// lead group always solves alone.
+    std::size_t decode_batch = 1;
+    /// Every decoded or concealed window, in sequence order, one call
+    /// per lead.
+    std::function<void(const FleetWindow&)> deliver;
+    /// ACK/NACK feedback for the stream's transmitter. Sent before any
+    /// window the same frame releases is decoded.
+    std::function<void(std::span<const FeedbackMessage>)> feedback;
+    /// Takes back every frame buffer the receiver has finished with,
+    /// capacity intact (see FleetConfig::frame_recycler). Empty = free it.
+    std::function<void(std::vector<std::uint8_t>&&)> recycler;
+    /// crc_mismatch, frame_rejected and profile_applied events land here
+    /// when set.
+    obs::FlightRecorder* flight = nullptr;
+  };
 
+  /// v0: the receiver shares \p config and \p codebook with the sender
+  /// out of band, as the paper's fixed deployment does.
   Coordinator(const core::DecoderConfig& config,
-              coding::HuffmanCodebook codebook,
+              coding::HuffmanCodebook codebook, const ArqConfig& arq = {},
               platform::CortexA8Model model = {});
 
-  /// Profile-driven construction (v1): the decoder bootstraps entirely
-  /// from \p profile — nothing is shared out-of-band. Usually the profile
-  /// parsed from the stream's own announcement frame.
+  /// v1/v2: the decoder starts from \p profile, the sender's announced
+  /// wire contract; the stream's kProfile frames re-apply it (and any
+  /// later one re-profiles the stream mid-flight).
   explicit Coordinator(const core::StreamProfile& profile,
+                       const ArqConfig& arq = {},
                        platform::CortexA8Model model = {});
 
+  void wire(Wiring wiring) { wiring_ = std::move(wiring); }
+
+  /// The receiver's decoder: set its backend and prior policy here
+  /// before the first frame.
   core::Decoder& decoder() { return decoder_; }
-  const platform::CortexA8Model& model() const { return model_; }
+  const core::Decoder& decoder() const { return decoder_; }
 
-  /// Re-seats the decode kernels on \p backend (a plain backend — the
-  /// coordinator adds its own counting decorator). Lets receivers that
-  /// bootstrapped from an in-band profile still pick their kernels.
-  void set_backend(const linalg::Backend& backend);
+  /// Processes one raw link frame: CRC check, group assembly, the ARQ
+  /// (its feedback goes out first), then every window the frame
+  /// released is decoded — or, with \p conceal_only, entropy-decoded but
+  /// concealed instead of reconstructed (the shed tier: the differential
+  /// chain stays intact). Decoded single-lead windows may pend until
+  /// decode_batch are ready; call flush() before handing the stream to
+  /// another thread.
+  void receive(std::vector<std::uint8_t> frame,
+               solvers::SolverWorkspace& workspace, bool conceal_only);
 
-  /// Receiver-side prior policy (warm starts / weighted l1 / support
-  /// tolerance) for the wrapped decoder. Concealments through this
-  /// coordinator invalidate the warm state automatically.
-  void set_prior_policy(const core::PriorPolicy& policy);
+  /// Reconstructs and delivers every pending window (no-op when none).
+  void flush(solvers::SolverWorkspace& workspace);
 
-  /// Processes one received frame. kProfile frames re-profile the
-  /// decoder in place (kProfileApplied — \p window untouched,
-  /// concealment reference dropped if the geometry changed); a data
-  /// frame reconstructs into \p window (kWindow; float — the iPhone
-  /// path) and becomes the reference for later concealment. The frame is
-  /// the lead group of one, so on a lead-group stream a lone data frame
-  /// rejects (kRejected).
-  FrameResult consume_frame(std::span<const std::uint8_t> frame,
-                            std::vector<float>& window);
-
-  /// Lead-group variant: \p frames holds one complete group window (the
-  /// decoder's leads frames, shared sequence, lead tags in order).
-  /// kWindow fills \p windows_flat with the leads reconstructions back
-  /// to back (leads * window floats, lead-major) from one joint
-  /// group-sparse solve. A single kProfile frame passed as a one-element
-  /// group re-profiles (kProfileApplied). Any reject (kRejected) leaves
-  /// the decode chains untouched, so the caller conceals the whole
-  /// group — leads never skew.
-  FrameResult consume_group(
-      std::span<const std::vector<std::uint8_t>> frames,
-      std::vector<float>& windows_flat);
-
-  /// Synthesises a stand-in for an unrecoverable window by repeating the
-  /// last good reconstruction (flat-line zeros if none exists yet).
-  std::vector<float> conceal_hold_last();
-
-  /// Synthesises stand-in k (0-based) of a gap of \p gap lost windows by
-  /// linearly cross-fading from \p prev (the last good window before the
-  /// gap) towards \p next (the first good window after it). Falls back to
-  /// copying \p next when \p prev is empty or mismatched.
-  std::vector<float> conceal_interpolated(std::span<const float> prev,
-                                          std::span<const float> next,
-                                          std::size_t k, std::size_t gap);
-
-  /// Decoder CPU usage under the Cortex-A8 model (reconstruction time per
-  /// packet over the 2 s packet period).
-  double cpu_usage(double packet_period_s = 2.0) const;
+  /// End of stream: the ARQ abandons its open gaps and releases what it
+  /// holds, pending windows flush, then lead groups that never completed
+  /// conceal whole, oldest first. Call once.
+  void finish(solvers::SolverWorkspace& workspace, bool conceal_only);
 
   const CoordinatorStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CoordinatorStats{}; }
+  const ArqRxStats& arq_stats() const { return arq_.stats(); }
+
+  /// Decoder CPU usage under the Cortex-A8 model (reconstruction time per
+  /// window over the 2 s window period). Zero unless the decoder's
+  /// backend counts.
+  double cpu_usage(double packet_period_s = 2.0) const;
 
  private:
-  /// The one decode path behind consume_frame and consume_group: applies
-  /// a lone kProfile packet, else decodes \p packets as one lead group
-  /// and accounts it. \p group picks the span (window.decode.group with
-  /// a leads attribute, or window.decode).
-  FrameResult consume_packets(std::span<const core::Packet> packets,
-                              bool group, std::vector<float>& windows_flat);
-  /// Counts \p frames rejected frames.
-  FrameResult reject(std::size_t frames);
+  /// Group frames parked per sequence, ordered wrap-safely so the
+  /// oldest is always first.
+  using GroupFrames =
+      std::map<std::uint16_t, std::vector<std::vector<std::uint8_t>>,
+               SeqLess>;
 
-  /// Samples one display refresh covers: window * leads (a group paints
-  /// all its leads together, so concealment references span the group).
-  std::size_t display_samples() const;
+  /// Collects one data frame of a lead-group stream (leads > 1). The
+  /// ArqReceiver tracks one buffer per sequence, so group frames park
+  /// here and a completed group enters the ARQ as one placeholder unit
+  /// under the shared sequence — ordering, NACKs and abandonment all
+  /// stay per group window.
+  void assemble_group(std::vector<std::uint8_t> frame);
+  /// Drops (and recycles) any parked assembly of \p sequence, counting
+  /// the stranded frames into frames_discarded.
+  void discard_assembly(std::uint16_t sequence);
+  /// Decodes, conceals or applies one in-order ARQ decision.
+  void handle_event(ArqReceiver::Event& event,
+                    solvers::SolverWorkspace& workspace, bool conceal_only);
+  /// Delivers a stand-in for every lead of \p sequence and invalidates
+  /// the warm prior.
+  void conceal(std::uint16_t sequence, std::uint16_t wire_sequence);
+  void recycle(std::vector<std::uint8_t>&& frame);
+  void record(obs::FlightEventId id, std::uint64_t a1 = 0);
 
   core::Decoder decoder_;
-  /// Counting decorator over the decoder's configured backend; installed
-  /// at construction so cpu_usage() always has real op counts.
-  /// Re-seated (not reassigned — it holds a reference) by set_backend.
-  std::optional<linalg::CountingBackend> counting_;
   platform::CortexA8Model model_;
+  Wiring wiring_;
+  /// Lead-group width of the stream (1 = classic single-lead). Updated
+  /// when an in-band re-profile changes it.
+  std::size_t leads_;
+  ArqReceiver arq_;
+  ArqReceiver::Output out_;  ///< ARQ decisions, reused for every frame
+  double ticks_ = 0.0;       ///< frames received: the ARQ clock
+  /// kProfile frames consume wire sequence numbers but carry no window;
+  /// subtracting the running count maps a frame's sequence back to the
+  /// sender's input-window index. Zero on v0 streams.
+  std::uint16_t profile_slots_ = 0;
+  /// Parse target reused for every frame (payload capacity survives).
+  core::Packet packet_;
+  /// Group parse targets, one per lead, kept like packet_.
+  std::vector<core::Packet> group_packets_;
+  /// A group window's frames share one sequence, which the
+  /// one-buffer-per-sequence ArqReceiver cannot hold, so data frames park
+  /// in assembling_ (indexed by lead tag) until every lead arrived; the
+  /// completed group moves to ready_groups_ and a placeholder enters the
+  /// ARQ. Partial groups are repaired by the normal NACK path — the
+  /// transmitter resends the whole group — and abandoned sequences
+  /// conceal whole.
+  GroupFrames assembling_;
+  GroupFrames ready_groups_;
+  // Decode scratch, reused every window (allocation-free once warm; the
+  // caller's SolverWorkspace holds the solver half). A decodable unit —
+  // a single-lead window or a whole lead group — entropy-decodes and
+  // joins the pending rows until flush() reconstructs them: y_flat_
+  // holds the integer measurement rows back to back (y_scratch_ stages
+  // the second and later units of a batch), pending_slots_ and
+  // pending_wires_ each unit's input-window index and wire sequence.
+  // window_batch_ never shrinks, so a partial flush does not drop warmed
+  // sample buffers.
+  std::vector<std::int32_t> y_scratch_;
+  std::vector<std::int32_t> y_flat_;
+  std::vector<std::uint16_t> pending_slots_;
+  std::vector<std::uint16_t> pending_wires_;
+  std::vector<core::DecodedWindow<float>> window_batch_;
+  std::vector<float> last_window_;  ///< last good reconstruction, all leads
   CoordinatorStats stats_;
-  std::vector<float> last_window_;  ///< last good reconstruction
-  std::vector<std::int32_t> y_scratch_;  ///< profile-frame consume target
-  /// Parse targets; never shrinks, so every payload's capacity survives.
-  std::vector<core::Packet> packets_;
 };
 
 }  // namespace csecg::wbsn

@@ -4,15 +4,21 @@
 /// \file fleet.hpp
 /// Fleet-scale decode: one gateway process terminating many sensor nodes.
 ///
-/// The single-node Coordinator (coordinator.hpp) reproduces the paper's
-/// one-phone-one-mote deployment. A monitoring service aggregates
-/// thousands of those streams, and FISTA at CR = 50 is far heavier than
-/// the framing around it, so the gateway multiplexes N per-node decode
-/// states onto a small fixed pool of decode workers:
+/// One Coordinator (coordinator.hpp) is one stream's receiver — the
+/// paper's one-phone-one-mote deployment. A monitoring service
+/// aggregates thousands of those streams, and FISTA at CR = 50 is far
+/// heavier than the framing around it, so the gateway runs one
+/// Coordinator per node and multiplexes them onto a small fixed pool of
+/// decode workers:
 ///
-///   submit(node, frame) --+--> [node 0: FIFO, Decoder, ArqReceiver] --+
-///                         +--> [node 1: ...]                         +--> worker pool
-///                         +--> [node k: ...]                         +
+///   submit(node, frame) --+--> [node 0: FIFO, Coordinator] --+
+///                         +--> [node 1: ...]                +--> worker pool
+///                         +--> [node k: ...]                +
+///
+/// The fleet itself only schedules: the receive path (CRC, lead-group
+/// assembly, ARQ, decode, concealment) is the node's Coordinator. The
+/// fleet adds the per-node obs sessions, latency and deadline accounting
+/// and the sink.
 ///
 /// Scheduling invariants (see DESIGN.md "Fleet decode"):
 ///  * A node is held by at most one worker at a time (a "scheduled"
@@ -22,9 +28,9 @@
 ///  * The work queue is bounded across all nodes; submit() blocks when
 ///    the fleet is queue_depth frames behind (backpressure to the
 ///    ingest side, never unbounded memory).
-///  * Each worker owns one solvers::SolverWorkspace and each node keeps
-///    its decode scratch, so steady-state decoding is allocation-free in
-///    the reconstruction hot path.
+///  * Each worker owns one solvers::SolverWorkspace and each node's
+///    Coordinator keeps its decode scratch, so steady-state decoding is
+///    allocation-free in the reconstruction hot path.
 ///  * Each node owns an obs::Session; workers attach it while processing
 ///    that node's frames. finish() merges every per-node registry into
 ///    the aggregate session, so fleet-wide latency quantiles and
@@ -50,6 +56,7 @@
 #include "csecg/obs/flight_recorder.hpp"
 #include "csecg/obs/obs.hpp"
 #include "csecg/wbsn/arq.hpp"
+#include "csecg/wbsn/coordinator.hpp"
 
 namespace csecg::wbsn {
 
@@ -147,57 +154,16 @@ struct FleetConfig {
   obs::FlightRecorder* flight = nullptr;
 };
 
-/// One in-order delivery to the sink. \p samples points into per-node
-/// scratch that is reused for the next window of the same node: consume
-/// or copy it inside the callback.
-struct FleetWindow {
-  std::uint32_t node_id = 0;
-  /// The sender's input-window index: the wire sequence minus the
-  /// kProfile frames seen so far, so sinks can align reconstructions
-  /// with the original stream even on v1 sessions.
-  std::uint16_t sequence = 0;
-  /// The raw on-wire frame sequence this delivery answers. The gateway's
-  /// end-to-end latency stamps are keyed by it (ingest sees only wire
-  /// sequences; profile-offset slots are a decode-side notion).
-  std::uint16_t wire_sequence = 0;
-  bool concealed = false;  ///< synthesised stand-in, not a decode
-  /// Host reconstruct time charged to this window's unit (0 if
-  /// concealed): the wall time of the one reconstruct call that solved
-  /// it, split evenly over the units that call solved — a decode_batch
-  /// panel's windows share it, a lead group's leads all carry the whole
-  /// group's. Parsing and the entropy decode are not included.
-  double decode_seconds = 0.0;
-  std::size_t iterations = 0;  ///< FISTA iterations (0 if concealed)
-  /// Lead index within the node's lead group (0 on single-lead streams).
-  /// A group window delivers leads consecutive FleetWindows — same
-  /// sequence, leads 0..L-1, all decoded or all concealed: the group is
-  /// one schedulable unit, so leads never skew.
-  std::uint8_t lead = 0;
-  std::span<const float> samples;
-};
-
-struct FleetNodeStats {
+/// One node's receive ledger (its Coordinator's CoordinatorStats) plus
+/// what only the fleet sees. For clean in-order traffic without
+/// duplicates the frame ledger closes:
+///   frames_submitted == leads*(reconstructed + shed_concealed)
+///                       + profiles_applied + rejected + corrupt
+///                       + discarded
+struct FleetNodeStats : CoordinatorStats {
   std::uint32_t node_id = 0;
   std::size_t frames_submitted = 0;
-  std::size_t frames_corrupt = 0;   ///< CRC-rejected arrivals
-  std::size_t frames_rejected = 0;  ///< CRC-clean but undecodable
-  /// Lead-group frames dropped without a decode or reject of their own:
-  /// siblings of a partial group whose sequence was abandoned (the gap
-  /// concealment stands in for the whole group). Zero on single-lead
-  /// streams. Closes the frame ledger:
-  ///   submitted == leads*(reconstructed + shed_concealed)
-  ///              + rejected + corrupt + discarded      (clean in-order
-  ///                                                     traffic, no dups)
-  std::size_t frames_discarded = 0;
-  std::size_t windows_reconstructed = 0;
-  std::size_t windows_concealed = 0;
-  /// Concealments forced by DecodeMode::kConcealOnly (already included
-  /// in windows_concealed): windows the admission controller shed.
-  std::size_t windows_shed_concealed = 0;
-  std::size_t profiles_applied = 0;  ///< in-band kProfile frames consumed
   std::size_t deadline_misses = 0;
-  double iterations_total = 0.0;
-  double decode_seconds_total = 0.0;
   double latency_p50_s = 0.0;
   double latency_p95_s = 0.0;
   double latency_p99_s = 0.0;
@@ -309,36 +275,23 @@ class FleetCoordinator {
   struct NodeState;
 
   /// The body both add_node overloads share: applies the fleet's
-  /// backend, prior policy and span switch, then assigns the id.
+  /// backend, prior policy and span switch, assigns the id and wires the
+  /// node's Coordinator.
   std::uint32_t register_node(std::unique_ptr<NodeState> node);
   void worker_loop();
   /// Appends \p frame to the node's inbox and wakes a worker. Caller
   /// holds mutex_ and has checked queue space.
   void enqueue_locked(NodeState& node, std::vector<std::uint8_t> frame);
   void recycle(std::vector<std::uint8_t>&& frame);
+  /// Feeds one dispatch's frames to the node's Coordinator, then
+  /// flushes it: anything still pending reaches the sink before another
+  /// worker picks the node up.
   void process_frames(NodeState& node,
                       std::vector<std::vector<std::uint8_t>>& frames,
-                      ArqReceiver::Output& out,
                       solvers::SolverWorkspace& workspace);
-  void handle_event(NodeState& node, ArqReceiver::Event& event,
-                    solvers::SolverWorkspace& workspace);
-  /// Collects one data frame of a lead-group node (leads > 1). The
-  /// ArqReceiver tracks one buffer per sequence, so group frames park in
-  /// the node's assembler and a completed group enters the ARQ as one
-  /// placeholder unit under the shared sequence — ordering, NACKs and
-  /// abandonment all stay per group window.
-  void assemble_group(NodeState& node, std::vector<std::uint8_t> frame,
-                      ArqReceiver::Output& out);
-  /// Drops (and recycles) any parked assembly of \p sequence, counting
-  /// the stranded frames into frames_discarded.
-  void discard_assembly(NodeState& node, std::uint16_t sequence);
-  /// Reconstructs every pending unit (no-op when none) — the one place
-  /// that solves, accounts a decoded unit and hands it to the sink, one
-  /// FleetWindow per lead. The barrier every non-window event crosses so
-  /// sink order holds.
-  void flush_pending(NodeState& node, solvers::SolverWorkspace& workspace);
-  void conceal(NodeState& node, std::uint16_t sequence,
-               std::uint16_t wire_sequence);
+  /// The node's delivery hook: latency and deadline accounting for a
+  /// decoded unit, then the sink.
+  void deliver(NodeState& node, const FleetWindow& window);
 
   FleetConfig config_;
   Sink sink_;

@@ -19,11 +19,16 @@
 ///    kernels, one operator traversal per iteration regardless of L).
 ///    This is the sub-additive operating point EXP-A15 measures.
 ///
-/// Both run v1 in-band profile bootstrap: the session's first frame is
-/// the kProfile announcement, and the coordinator consumes it like any
-/// receiver — nothing is shared out-of-band except receiver-side solver
-/// policy (lambda, backend, prior), which is not part of the wire
-/// contract.
+/// Each stream is received by one Coordinator (coordinator.hpp, default
+/// ArqConfig), fed its link's frames on the calling thread and finished
+/// at the end; its feedback is not relayed, so a lost frame is never
+/// retransmitted and its window conceals (whole, for a group). Each
+/// session's first frame is the v1/v2 kProfile announcement, which the
+/// coordinator applies like any receiver — nothing else crosses but
+/// receiver-side solver policy (lambda, backend, prior), which is not
+/// part of the wire contract. The coordinators decode through a
+/// counting decorator, so coordinator_cpu_usage is Cortex-A8 model
+/// time.
 
 #include <cstdint>
 #include <vector>
@@ -60,7 +65,8 @@ struct MultiLeadReport {
 };
 
 /// Runs one record per lead (all must share length and rate) through the
-/// selected topology into one coordinator. The wire codebook is the
+/// selected topology into one phone (one Coordinator per stream, all on
+/// the calling thread). The wire codebook is the
 /// profile-resolvable default book (id 0) — the in-band bootstrap
 /// contract; \p config supplies geometry, seed and receiver-side solver
 /// policy.

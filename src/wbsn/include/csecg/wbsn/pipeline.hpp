@@ -11,10 +11,12 @@
 ///
 /// On top of the seed's fire-and-forget stream the pipeline now carries a
 /// coordinator->node feedback channel (ACK/NACK, see arq.hpp): the
-/// consumer verifies each frame's CRC, reorders and NACKs gaps; the
-/// producer retransmits on NACK with bounded retries; windows that stay
-/// unrecoverable are concealed on the display instead of dropped, so the
-/// 2 s cadence never shows silent corruption.
+/// consumer thread drives one Coordinator (coordinator.hpp), the same
+/// receiver the fleet runs per node, which verifies each frame's CRC,
+/// reorders and NACKs gaps; the producer retransmits on NACK with
+/// bounded retries; windows that stay unrecoverable are concealed on the
+/// display instead of dropped, so the 2 s cadence never shows silent
+/// corruption.
 
 #include <cstdint>
 #include <vector>
@@ -46,8 +48,8 @@ struct PipelineConfig {
   /// How unrecoverable windows are painted.
   ConcealmentStrategy concealment = ConcealmentStrategy::kHoldLast;
   /// Kernel backend for the coordinator's decoder (a plain backend — the
-  /// coordinator wraps it in its own counting decorator for the cycle
-  /// model). Null keeps the decoder config's choice (library default for
+  /// pipeline wraps it in a counting decorator for the cycle model).
+  /// Null keeps the decoder config's choice (library default for
   /// profile-driven sessions). Must outlive the pipeline; the
   /// linalg::*_backend() singletons always do.
   const linalg::Backend* backend = nullptr;
@@ -67,7 +69,9 @@ struct PipelineReport {
   ArqRxStats arq_rx;
   std::size_t windows_input = 0;
   std::size_t windows_displayed = 0;
-  std::size_t windows_concealed = 0;        ///< synthesised stand-ins shown
+  /// Synthesised stand-ins: the coordinator's concealments plus the tail
+  /// the pipeline fills up to windows_input (ARQ on).
+  std::size_t windows_concealed = 0;
   std::size_t windows_corrupt_rejected = 0; ///< CRC failures at the coordinator
   std::size_t retransmissions = 0;
   std::size_t keyframes_forced = 0;         ///< ARQ-demanded re-syncs
@@ -82,9 +86,10 @@ struct PipelineReport {
   double mean_recovery_latency_s = 0.0;
   double node_cpu_usage = 0.0;
   double coordinator_cpu_usage = 0.0;
-  /// Host-clock decode latency per reconstructed (non-concealed) window,
-  /// measured on the consumer thread around the decode call. Always
-  /// populated, with or without an observability session.
+  /// Host-clock decode latency per reconstructed (non-concealed) window:
+  /// FleetWindow::decode_seconds, the reconstruct call alone (parsing
+  /// and the entropy decode are not in it), as the fleet reports it.
+  /// Always populated, with or without an observability session.
   std::size_t latency_windows = 0;
   double latency_min_s = 0.0;
   double latency_mean_s = 0.0;
@@ -111,9 +116,11 @@ class RealTimePipeline {
                    const PipelineConfig& pipeline_config = {});
 
   /// v1: profile-driven pipeline. The producer announces \p profile
-  /// in-band and the consumer's coordinator bootstraps entirely from the
-  /// received kProfile frame — no config crosses between the threads
-  /// out-of-band. Required for pipeline_config.adaptive.
+  /// in-band; the consumer's coordinator starts from the same profile,
+  /// as the fleet, the gateway and run_multi_lead register a v1 node,
+  /// and the announcement re-applies it (counted in profiles_applied).
+  /// Later announcements (adaptive CR) re-profile it mid-stream.
+  /// Required for pipeline_config.adaptive.
   explicit RealTimePipeline(const core::StreamProfile& profile,
                             const PipelineConfig& pipeline_config = {});
 
@@ -122,7 +129,7 @@ class RealTimePipeline {
   PipelineReport run(const ecg::Record& record);
 
  private:
-  core::DecoderConfig config_;
+  core::DecoderConfig config_;                       ///< v0 mode only
   std::optional<coding::HuffmanCodebook> codebook_;  ///< v0 mode only
   PipelineConfig pipeline_config_;
   std::optional<core::StreamProfile> profile_;

@@ -204,7 +204,7 @@ struct SoakResult {
 ///                                        no corrupt frames, no dups)
 ///   delivered == decoded + concealed                       (sink count)
 ///   0 <= gap_concealments <= shed_dropped + shed_queue_full
-///   crc_mismatches == 0, steady phase sheds == 0,
+///   crc_mismatches == 0, steady phase offers > 0 and sheds == 0,
 ///   queue_high_water <= queue_depth
 SoakResult run_soak(const SoakConfig& config);
 

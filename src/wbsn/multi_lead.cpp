@@ -5,8 +5,8 @@
 #include <span>
 
 #include "csecg/core/codebook.hpp"
-#include "csecg/core/packet.hpp"
 #include "csecg/ecg/metrics.hpp"
+#include "csecg/linalg/backend.hpp"
 #include "csecg/util/error.hpp"
 #include "csecg/wbsn/stream_session.hpp"
 
@@ -14,13 +14,8 @@ namespace csecg::wbsn {
 
 namespace {
 
-/// The wire contract of \p config (with the given seed/lead count) as an
-/// announceable v1/v2 profile.
-core::StreamProfile bootstrap_profile(core::DecoderConfig config,
-                                      std::uint64_t seed,
-                                      std::size_t lead_count) {
-  config.cs.seed = seed;
-  config.cs.leads = lead_count;
+/// The wire contract of \p config as an announceable v1/v2 profile.
+core::StreamProfile bootstrap_profile(const core::DecoderConfig& config) {
   const auto profile = core::profile_from(config);
   CSECG_CHECK(profile.has_value(),
               "multi-lead config is not announceable as a stream profile");
@@ -57,6 +52,13 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
   const std::size_t windows = length / n;
   CSECG_CHECK(windows > 0, "records shorter than one window");
   const std::size_t lead_count = leads.size();
+  // Joint: one lead-group session, one sensing seed, one joint solve per
+  // group window. Independent: one single-lead session per lead, with
+  // lead-distinct sensing seeds so simultaneous corruption cannot alias
+  // across leads. Stream s carries leads s .. s + stream_leads - 1.
+  const bool joint = mode == MultiLeadMode::kJointGroup;
+  const std::size_t streams = joint ? 1 : lead_count;
+  const std::size_t stream_leads = joint ? lead_count : 1;
 
   MultiLeadReport report;
   report.leads = lead_count;
@@ -66,147 +68,94 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
 
   StreamSessionConfig session_config;
   session_config.link = link_config;
-
+  // Every receiver decodes through one counting decorator over the
+  // configured kernels, so each solve is priced on the Cortex-A8 model.
+  const linalg::CountingBackend counting(config.backend != nullptr
+                                             ? *config.backend
+                                             : linalg::default_backend());
   const double window_period_s =
       static_cast<double>(n) / leads.front()->sample_rate_hz;
   std::vector<double> original(n);
   std::vector<double> recon(n);
-  double total_decode_s = 0.0;
-  double total_airtime_s = 0.0;
-  double prd_total = 0.0;
+  std::vector<std::size_t> decoded(lead_count, 0);
 
-  if (mode == MultiLeadMode::kJointGroup) {
-    // One session, one sensing seed, one joint solve per group window.
-    core::DecoderConfig group_config = config;
-    group_config.cs.leads = lead_count;
-    StreamSession session(
-        bootstrap_profile(config, config.cs.seed, lead_count),
-        session_config);
-    Coordinator coordinator(group_config,
-                            core::default_difference_codebook());
-
-    std::vector<std::int16_t> flat(lead_count * n);
-    std::vector<std::vector<std::uint8_t>> frames;
-    std::vector<float> windows_flat;
-    std::size_t groups_decoded = 0;
-    for (std::size_t w = 0; w < windows; ++w) {
-      for (std::size_t l = 0; l < lead_count; ++l) {
-        std::copy(leads[l]->samples.begin() +
-                      static_cast<std::ptrdiff_t>(w * n),
-                  leads[l]->samples.begin() +
-                      static_cast<std::ptrdiff_t>((w + 1) * n),
-                  flat.begin() + static_cast<std::ptrdiff_t>(l * n));
+  std::vector<std::unique_ptr<StreamSession>> sessions;
+  std::vector<std::unique_ptr<Coordinator>> receivers;
+  for (std::size_t s = 0; s < streams; ++s) {
+    core::DecoderConfig stream_config = config;
+    stream_config.cs.seed = config.cs.seed + s * 7919;  // lead-distinct Phi
+    stream_config.cs.leads = stream_leads;
+    sessions.push_back(std::make_unique<StreamSession>(
+        bootstrap_profile(stream_config), session_config));
+    receivers.push_back(std::make_unique<Coordinator>(
+        stream_config, core::default_difference_codebook()));
+    receivers.back()->decoder().set_backend(counting);
+    // Score every decoded window against its source, keyed by slot and
+    // lead; concealed windows are never scored as clean.
+    Coordinator::Wiring wiring;
+    wiring.deliver = [&, s](const FleetWindow& window) {
+      if (window.concealed) {
+        return;
       }
-      frames.clear();
-      session.send_group_window(flat, [&](std::vector<std::uint8_t> frame) {
-        frames.push_back(std::move(frame));
-      });
-      // Leading announcement frames ride their own sequence; feed them
-      // singly, then the data frames as one group.
-      std::size_t first_data = 0;
-      while (first_data < frames.size()) {
-        const auto packet = core::Packet::parse(frames[first_data]);
-        if (!packet || packet->kind != core::PacketKind::kProfile) {
-          break;
-        }
-        (void)coordinator.consume_group(
-            std::span<const std::vector<std::uint8_t>>(
-                frames.data() + first_data, 1),
-            windows_flat);
-        ++first_data;
-      }
-      const std::size_t data_frames = frames.size() - first_data;
-      if (data_frames != lead_count) {
-        // The link dropped part of the group: it conceals whole — no
-        // lead may advance while a sibling is missing.
-        (void)coordinator.conceal_hold_last();
-        continue;
-      }
-      const auto result = coordinator.consume_group(
-          std::span<const std::vector<std::uint8_t>>(
-              frames.data() + first_data, lead_count),
-          windows_flat);
-      if (result != Coordinator::FrameResult::kWindow) {
-        (void)coordinator.conceal_hold_last();
-        continue;
-      }
-      ++groups_decoded;
-      for (std::size_t l = 0; l < lead_count; ++l) {
-        report.per_lead_prd[l] += window_prd(
-            *leads[l], w * n,
-            std::span<const float>(windows_flat.data() + l * n, n), n,
-            original, recon);
-      }
-    }
-
-    const double node_cpu = session.node().cpu_usage(window_period_s);
-    for (std::size_t l = 0; l < lead_count; ++l) {
-      report.per_lead_prd[l] /= static_cast<double>(
-          std::max<std::size_t>(1, groups_decoded));
-      prd_total += report.per_lead_prd[l];
-      report.per_lead_node_cpu[l] =
-          node_cpu / static_cast<double>(lead_count);
-    }
-    total_decode_s = coordinator.stats().modelled_seconds_total;
-    report.mean_decode_iterations = coordinator.stats().mean_iterations();
-    total_airtime_s = session.link().stats().airtime_s;
-  } else {
-    // Independent: one v1 session and one decoder per lead, with
-    // lead-distinct sensing seeds so simultaneous corruption cannot
-    // alias across leads.
-    std::vector<std::unique_ptr<StreamSession>> sessions;
-    std::vector<std::unique_ptr<Coordinator>> coordinators;
-    std::vector<std::size_t> decoded(lead_count, 0);
-    for (std::size_t l = 0; l < lead_count; ++l) {
-      core::DecoderConfig lead_config = config;
-      lead_config.cs.seed = config.cs.seed + l * 7919;  // lead-distinct Phi
-      lead_config.cs.leads = 1;
-      sessions.push_back(std::make_unique<StreamSession>(
-          bootstrap_profile(lead_config, lead_config.cs.seed, 1),
-          session_config));
-      coordinators.push_back(std::make_unique<Coordinator>(
-          lead_config, core::default_difference_codebook()));
-    }
-
-    std::vector<float> window;
-    for (std::size_t w = 0; w < windows; ++w) {
-      for (std::size_t l = 0; l < lead_count; ++l) {
-        sessions[l]->send_window(
-            std::span<const std::int16_t>(leads[l]->samples.data() + w * n,
-                                          n),
-            [&](std::vector<std::uint8_t> frame) {
-              const auto result =
-                  coordinators[l]->consume_frame(frame, window);
-              if (result != Coordinator::FrameResult::kWindow) {
-                return;
-              }
-              ++decoded[l];
-              report.per_lead_prd[l] += window_prd(
-                  *leads[l], w * n, std::span<const float>(window), n,
-                  original, recon);
-            });
-      }
-    }
-
-    double iterations_total = 0.0;
-    std::size_t windows_total = 0;
-    for (std::size_t l = 0; l < lead_count; ++l) {
-      iterations_total += coordinators[l]->stats().iterations_total;
-      windows_total += coordinators[l]->stats().windows_reconstructed;
-      total_decode_s += coordinators[l]->stats().modelled_seconds_total;
-      report.per_lead_prd[l] /=
-          static_cast<double>(std::max<std::size_t>(1, decoded[l]));
-      prd_total += report.per_lead_prd[l];
-      report.per_lead_node_cpu[l] =
-          sessions[l]->node().cpu_usage(window_period_s);
-      total_airtime_s += sessions[l]->link().stats().airtime_s;
-    }
-    report.mean_decode_iterations =
-        windows_total == 0 ? 0.0
-                           : iterations_total /
-                                 static_cast<double>(windows_total);
+      const std::size_t lead = s + window.lead;
+      ++decoded[lead];
+      report.per_lead_prd[lead] +=
+          window_prd(*leads[lead], window.sequence * n, window.samples, n,
+                     original, recon);
+    };
+    receivers.back()->wire(std::move(wiring));
   }
 
+  // Frames go straight from each session's link into its receiver on
+  // this thread; the receivers' feedback is not relayed.
+  solvers::SolverWorkspace workspace;
+  std::vector<std::int16_t> flat(stream_leads * n);
+  for (std::size_t w = 0; w < windows; ++w) {
+    for (std::size_t s = 0; s < streams; ++s) {
+      for (std::size_t l = 0; l < stream_leads; ++l) {
+        std::copy_n(leads[s + l]->samples.begin() +
+                        static_cast<std::ptrdiff_t>(w * n),
+                    n, flat.begin() + static_cast<std::ptrdiff_t>(l * n));
+      }
+      Coordinator& receiver = *receivers[s];
+      const auto sink = [&](std::vector<std::uint8_t> frame) {
+        receiver.receive(std::move(frame), workspace,
+                         /*conceal_only=*/false);
+      };
+      if (joint) {
+        sessions[s]->send_group_window(flat, sink);
+      } else {
+        sessions[s]->send_window(flat, sink);
+      }
+    }
+  }
+
+  double total_decode_s = 0.0;
+  double iterations_total = 0.0;
+  std::size_t units_total = 0;
+  for (std::size_t s = 0; s < streams; ++s) {
+    receivers[s]->finish(workspace, /*conceal_only=*/false);
+    const CoordinatorStats& stats = receivers[s]->stats();
+    total_decode_s += stats.modelled_seconds_total;
+    iterations_total += stats.iterations_total;
+    units_total += stats.windows_reconstructed;
+    report.link_airtime_s += sessions[s]->link().stats().airtime_s;
+    // A group mote's usage splits evenly across its leads.
+    const double node_cpu = sessions[s]->node().cpu_usage(window_period_s) /
+                            static_cast<double>(stream_leads);
+    for (std::size_t l = 0; l < stream_leads; ++l) {
+      report.per_lead_node_cpu[s + l] = node_cpu;
+    }
+  }
+  double prd_total = 0.0;
+  for (std::size_t l = 0; l < lead_count; ++l) {
+    report.per_lead_prd[l] /=
+        static_cast<double>(std::max<std::size_t>(1, decoded[l]));
+    prd_total += report.per_lead_prd[l];
+  }
+  report.mean_decode_iterations =
+      units_total == 0 ? 0.0
+                       : iterations_total / static_cast<double>(units_total);
   report.coordinator_cpu_usage =
       total_decode_s / (static_cast<double>(windows) * window_period_s);
   // Real-time: all leads must decode within 1 s of compute per 2 s
@@ -215,7 +164,6 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
       total_decode_s / static_cast<double>(windows) <=
       window_period_s / 2.0;
   report.mean_prd = prd_total / static_cast<double>(lead_count);
-  report.link_airtime_s = total_airtime_s;
   return report;
 }
 

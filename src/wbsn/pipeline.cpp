@@ -3,9 +3,10 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <thread>
+#include <vector>
 
-#include "csecg/core/packet.hpp"
 #include "csecg/ecg/metrics.hpp"
 #include "csecg/obs/obs.hpp"
 #include "csecg/util/error.hpp"
@@ -21,6 +22,25 @@ struct DisplayedWindow {
   bool concealed = false;  ///< synthesised stand-in, not a reconstruction
   std::vector<float> samples;
 };
+
+/// Stand-in k (0-based) of a gap of \p gap lost windows: a linear
+/// cross-fade from \p prev (the last good window before the gap) towards
+/// \p next (the first good window after it). A copy of \p next when
+/// \p prev is empty or mismatched.
+std::vector<float> cross_fade(std::span<const float> prev,
+                              std::span<const float> next, std::size_t k,
+                              std::size_t gap) {
+  if (prev.empty() || prev.size() != next.size()) {
+    return std::vector<float>(next.begin(), next.end());
+  }
+  const float alpha = static_cast<float>(k + 1) /
+                      static_cast<float>(gap + 1);
+  std::vector<float> window(next.size());
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    window[i] = prev[i] + (next[i] - prev[i]) * alpha;
+  }
+  return window;
+}
 
 }  // namespace
 
@@ -39,9 +59,6 @@ RealTimePipeline::RealTimePipeline(const core::StreamProfile& profile,
     : pipeline_config_(pipeline_config), profile_(profile) {
   const char* reason = profile.invalid_reason();
   CSECG_CHECK(reason == nullptr, reason ? reason : "invalid stream profile");
-  // config_/codebook_ stay at their defaults and are never used on the
-  // consumer side: the coordinator bootstraps from the announcement frame.
-  config_.cs.window = profile.window;
 }
 
 PipelineReport RealTimePipeline::run(const ecg::Record& record) {
@@ -71,18 +88,24 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
   }
   StreamSession& stream = *stream_storage;
 
-  // v0: the coordinator shares the producer's config out-of-band, as the
-  // paper's fixed deployment does. v1: it stays unconstructed until the
-  // stream's own kProfile frame arrives — the announcement is the only
-  // channel through which geometry, seed, wavelet and codebook travel.
+  // The coordinator starts from the producer's wire contract: the v0
+  // config and codebook the paper's fixed deployment shares
+  // out-of-band, or the v1 profile, which the stream's own announcement
+  // frame then re-applies. Its kernels run through a counting decorator
+  // so every reconstruct is priced on the Cortex-A8 model; the decorator
+  // is declared first so it outlives the decoder that points at it.
+  std::optional<linalg::CountingBackend> counting;
   std::optional<Coordinator> coordinator_storage;
-  if (!profile_) {
-    coordinator_storage.emplace(config_, *codebook_);
-    if (pipeline_config_.backend != nullptr) {
-      coordinator_storage->set_backend(*pipeline_config_.backend);
-    }
+  if (profile_) {
+    coordinator_storage.emplace(*profile_, pipeline_config_.arq);
+  } else {
+    coordinator_storage.emplace(config_, *codebook_, pipeline_config_.arq);
   }
-  ArqReceiver arq_rx(pipeline_config_.arq, /*first_sequence=*/0);
+  Coordinator& coordinator = *coordinator_storage;
+  counting.emplace(pipeline_config_.backend != nullptr
+                       ? *pipeline_config_.backend
+                       : coordinator.decoder().backend());
+  coordinator.decoder().set_backend(*counting);
 
   // Frame queue between the node and the coordinator thread. With ARQ the
   // depth doubles as flow control: the producer may run no more than one
@@ -154,7 +177,7 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
   });
 
   std::size_t display_overruns = 0;
-  std::size_t corrupt_rejected = 0;
+  std::size_t tail_concealed = 0;
   // Per-window decode latency on the host clock (consumer-thread local;
   // read by the main thread only after the join below).
   std::vector<double> decode_latencies;
@@ -163,24 +186,11 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
   // --- Consumer: the coordinator's Bluetooth + decode thread (§IV-B1). ---
   std::thread consumer([&] {
     obs::ScopedSession attach(session);
-    std::size_t frames_processed = 0;
+    solvers::SolverWorkspace workspace;
     std::size_t emitted = 0;  // slots are emitted contiguously from 0
-    // kProfile frames consume sequence numbers but occupy no display
-    // slot; subtracting the running count maps a data frame's sequence
-    // back to its input-window index. Zero for v0 streams.
-    std::size_t profile_slots = 0;
     // Good window bracketing the current concealment gap (interpolation).
     std::vector<float> previous_good;
     std::vector<std::uint16_t> pending_lost;
-    std::vector<float> decoded_window;
-
-    const auto hold_last = [&]() -> std::vector<float> {
-      if (coordinator_storage) {
-        return coordinator_storage->conceal_hold_last();
-      }
-      // v1 before the announcement arrived: nothing to hold, flat-line.
-      return std::vector<float>(n, 0.0f);
-    };
 
     const auto emit = [&](std::uint16_t slot, std::vector<float> samples,
                           bool concealed) {
@@ -199,109 +209,52 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
                  static_cast<double>(display.size()));
       }
     };
-
-    const auto conceal = [&](std::uint16_t slot) {
-      if (interpolate) {
-        pending_lost.push_back(slot);  // wait for the far bracket
-      } else {
-        emit(slot, hold_last(), true);
-      }
+    // The last good reconstruction, or a flat line before the first.
+    const auto hold_last = [&] {
+      return previous_good.empty() ? std::vector<float>(n, 0.0f)
+                                   : previous_good;
     };
 
-    const auto handle_events =
-        [&](std::vector<ArqReceiver::Event>& events) {
-          for (auto& event : events) {
-            const auto slot = static_cast<std::uint16_t>(
-                event.sequence - profile_slots);
-            if (event.lost) {
-              conceal(slot);
-              continue;
-            }
-            if (!coordinator_storage) {
-              // v1 bootstrap: the first decodable thing in the stream
-              // must be its announcement; build the coordinator from the
-              // frame's own bytes, then fall through so consume_frame
-              // accounts it like any later announcement.
-              const auto packet = core::Packet::parse(event.frame);
-              const auto announced =
-                  packet && packet->kind == core::PacketKind::kProfile
-                      ? core::StreamProfile::parse(packet->payload)
-                      : std::nullopt;
-              if (!announced) {
-                conceal(slot);  // undecodable until the profile arrives
-                continue;
-              }
-              coordinator_storage.emplace(*announced);
-              if (pipeline_config_.backend != nullptr) {
-                coordinator_storage->set_backend(*pipeline_config_.backend);
-              }
-            }
-            Coordinator& coordinator = *coordinator_storage;
-            const auto decode_start = std::chrono::steady_clock::now();
-            const auto outcome =
-                coordinator.consume_frame(event.frame, decoded_window);
-            const double decode_s =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - decode_start)
-                    .count();
-            if (outcome == Coordinator::FrameResult::kProfileApplied) {
-              ++profile_slots;
-              continue;  // no display slot: the next data frame realigns
-            }
-            if (outcome == Coordinator::FrameResult::kWindow) {
-              decode_latencies.push_back(decode_s);
-              const bool missed = deadline ? deadline->observe(decode_s)
-                                           : decode_s > window_period_s;
-              if (missed) {
-                ++deadline_misses;
-              }
-            } else {
-              // CRC-clean but undecodable: typically a differential frame
-              // stranded behind an abandoned gap, waiting for the forced
-              // keyframe. Conceal it rather than skip the slot.
-              conceal(slot);
-              continue;
-            }
-            if (!pending_lost.empty()) {
-              const std::size_t gap = pending_lost.size();
-              for (std::size_t k = 0; k < gap; ++k) {
-                emit(pending_lost[k],
-                     coordinator.conceal_interpolated(previous_good,
-                                                      decoded_window, k, gap),
-                     true);
-              }
-              pending_lost.clear();
-            }
-            previous_good = decoded_window;
-            emit(slot, std::move(decoded_window), false);
-            decoded_window.clear();
-          }
-        };
+    Coordinator::Wiring wiring;
+    // StreamSession::on_feedback is thread-safe, so it is the feedback
+    // channel.
+    wiring.feedback = [&](std::span<const FeedbackMessage> messages) {
+      stream.on_feedback(messages);
+    };
+    wiring.deliver = [&](const FleetWindow& window) {
+      if (window.concealed) {
+        if (interpolate) {
+          pending_lost.push_back(window.sequence);  // wait for the far bracket
+        } else {
+          emit(window.sequence,
+               std::vector<float>(window.samples.begin(),
+                                  window.samples.end()),
+               true);
+        }
+        return;
+      }
+      decode_latencies.push_back(window.decode_seconds);
+      const bool missed = deadline ? deadline->observe(window.decode_seconds)
+                                   : window.decode_seconds > window_period_s;
+      if (missed) {
+        ++deadline_misses;
+      }
+      const std::size_t gap = pending_lost.size();
+      for (std::size_t k = 0; k < gap; ++k) {
+        emit(pending_lost[k], cross_fade(previous_good, window.samples, k, gap),
+             true);
+      }
+      pending_lost.clear();
+      previous_good.assign(window.samples.begin(), window.samples.end());
+      emit(window.sequence, previous_good, false);
+    };
+    coordinator.wire(std::move(wiring));
 
-    while (true) {
-      auto frame = frames.pop();
-      if (!frame) {
-        break;
-      }
-      const double now = static_cast<double>(frames_processed++);
-      const auto packet = core::Packet::parse(*frame);
-      ArqReceiver::Output out;
-      if (!packet) {
-        // CRC or header verification failed: the sequence number cannot
-        // be trusted, so the loss will surface as a gap.
-        ++corrupt_rejected;
-        out = arq_rx.on_corrupt_frame(now);
-      } else {
-        out = arq_rx.on_frame(packet->sequence, std::move(*frame), now);
-      }
-      // Feedback travels before the (slow) reconstruction so NACK latency
-      // is not inflated by FISTA. StreamSession::on_feedback is
-      // thread-safe, so it is the feedback channel.
-      stream.on_feedback(std::span<const FeedbackMessage>(out.feedback));
-      handle_events(out.events);
+    while (auto frame = frames.pop()) {
+      coordinator.receive(std::move(*frame), workspace,
+                          /*conceal_only=*/false);
     }
-    auto out = arq_rx.finish(static_cast<double>(frames_processed));
-    handle_events(out.events);
+    coordinator.finish(workspace, /*conceal_only=*/false);
     // Gap still open at end of stream: no far bracket exists, fall back
     // to hold-last for whatever interpolation was waiting on.
     for (const std::uint16_t slot : pending_lost) {
@@ -315,6 +268,7 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
     if (arq_on) {
       for (std::size_t s = emitted; s < window_count; ++s) {
         emit(static_cast<std::uint16_t>(s), hold_last(), true);
+        ++tail_concealed;
       }
     }
     display.close();
@@ -359,15 +313,13 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
   report.node = stream.node().stats();
   report.link = stream.link().stats();
   report.arq_tx = stream.node().arq().stats();
-  report.arq_rx = arq_rx.stats();
-  if (coordinator_storage) {
-    report.coordinator = coordinator_storage->stats();
-    report.coordinator_cpu_usage =
-        coordinator_storage->cpu_usage(window_period_s);
-  }
+  report.arq_rx = coordinator.arq_stats();
+  report.coordinator = coordinator.stats();
+  report.coordinator.windows_concealed += tail_concealed;
+  report.coordinator_cpu_usage = coordinator.cpu_usage(window_period_s);
   report.windows_displayed = displayed;
   report.windows_concealed = report.coordinator.windows_concealed;
-  report.windows_corrupt_rejected = corrupt_rejected;
+  report.windows_corrupt_rejected = report.coordinator.frames_corrupt;
   report.retransmissions = report.arq_tx.retransmissions;
   report.keyframes_forced = report.node.keyframes_forced;
   report.profiles_applied = report.coordinator.profiles_applied;
@@ -413,7 +365,7 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
     registry.counter("pipeline.windows.concealed")
         .add(report.windows_concealed);
     registry.counter("pipeline.windows.corrupt_rejected")
-        .add(corrupt_rejected);
+        .add(report.windows_corrupt_rejected);
     registry.gauge("pipeline.wall_seconds").set(report.wall_seconds);
     registry.gauge("pipeline.mean_prd_percent").set(report.mean_prd);
     registry.gauge("pipeline.node.cpu_usage").set(report.node_cpu_usage);

@@ -613,6 +613,11 @@ SoakResult run_soak(const SoakConfig& config) {
   if (steady_sheds != 0) {
     fail("steady phase shed " + std::to_string(steady_sheds) + " frames");
   }
+  if (result.steady_offered == 0) {
+    // The steady-phase gates (zero sheds, zero allocations) would then
+    // hold vacuously.
+    fail("steady phase offered no frames — its gates measured nothing");
+  }
   if (report.queue_high_water > depth) {
     fail("queue high-water " + std::to_string(report.queue_high_water) +
          " exceeds depth " + std::to_string(depth));

@@ -717,6 +717,21 @@ std::vector<std::uint32_t> float_bits(std::span<const float> samples) {
   return bits;
 }
 
+/// The deterministic half of two receive ledgers must agree (host
+/// reconstruct time is the only field a receiver's timing can move).
+void expect_same_ledger(const CoordinatorStats& got,
+                        const CoordinatorStats& want) {
+  EXPECT_EQ(got.frames_corrupt, want.frames_corrupt);
+  EXPECT_EQ(got.frames_rejected, want.frames_rejected);
+  EXPECT_EQ(got.frames_discarded, want.frames_discarded);
+  EXPECT_EQ(got.windows_reconstructed, want.windows_reconstructed);
+  EXPECT_EQ(got.windows_concealed, want.windows_concealed);
+  EXPECT_EQ(got.windows_shed_concealed, want.windows_shed_concealed);
+  EXPECT_EQ(got.profiles_applied, want.profiles_applied);
+  EXPECT_EQ(got.iterations_total, want.iterations_total);
+  EXPECT_EQ(got.modelled_seconds_total, want.modelled_seconds_total);
+}
+
 /// The frame ledger FleetNodeStats documents, for clean in-order traffic
 /// without duplicates.
 void expect_ledger_closes(const FleetReport& report, std::size_t leads) {
@@ -732,9 +747,10 @@ void expect_ledger_closes(const FleetReport& report, std::size_t leads) {
 TEST(FleetTest, DecodeBatchWidthsDeliverTheSameWindows) {
   // One cold v1 stream that re-profiles CR 50 -> 30 halfway, with one
   // data frame lost, one that fails its CRC and one that passes it but
-  // does not decode, through 1-worker fleets at every panel width:
-  // decode_batch changes how the windows are solved, never what reaches
-  // the sink or the report.
+  // does not decode, through a bare Coordinator on this thread and
+  // 1-worker fleets at every panel width: decode_batch changes how the
+  // windows are solved, never what reaches the sink or the report, and
+  // the fleet receives exactly as its per-node Coordinator does alone.
   ecg::DatabaseConfig db_config;
   db_config.record_count = 1;
   db_config.duration_s = 32.0;
@@ -774,15 +790,47 @@ TEST(FleetTest, DecodeBatchWidthsDeliverTheSameWindows) {
   frames[kCorrupt][frames[kCorrupt].size() / 2] ^= 0x10;
   const auto blocker = encode_stream(fast_config(), book, db, 1).front();
 
+  // Give a gap up one tick after it shows, so concealments and the
+  // windows released behind them interleave with live dispatches.
+  ArqConfig arq;
+  arq.max_retries = 0;
+  arq.retry_timeout = 1.0;
+
+  // The reference: the same frames through a bare Coordinator.
+  std::vector<Delivery> reference;
+  Coordinator bare(fast_config(), book, arq);
+  {
+    Coordinator::Wiring wiring;
+    wiring.deliver = [&](const FleetWindow& window) {
+      reference.push_back(Delivery::of(window));
+    };
+    bare.wire(std::move(wiring));
+    solvers::SolverWorkspace workspace;
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      if (f != kLost) {
+        bare.receive(std::vector<std::uint8_t>(frames[f]), workspace,
+                     /*conceal_only=*/false);
+      }
+    }
+    bare.finish(workspace, /*conceal_only=*/false);
+  }
+  const CoordinatorStats& stream = bare.stats();
+  EXPECT_EQ(stream.profiles_applied, 2u);
+  EXPECT_EQ(stream.frames_corrupt, 1u);
+  EXPECT_EQ(stream.frames_rejected, 3u);  // w2 behind w1, w4, w5 behind w4
+  EXPECT_EQ(stream.windows_reconstructed, 7u);
+  EXPECT_EQ(stream.windows_concealed, 5u);  // w1, w2, w4, w5, w8
+  ASSERT_EQ(reference.size(), kWindows);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    EXPECT_EQ(reference[w].sequence, w);
+  }
+
   const auto run = [&](std::size_t batch, std::vector<Delivery>& out,
                        std::vector<double>& decode_seconds) {
     FleetConfig fleet_config;
     fleet_config.workers = 1;
     fleet_config.decode_batch = batch;
-    // Give a gap up one tick after it shows, so concealments and the
-    // windows released behind them interleave with live dispatches.
-    fleet_config.arq.max_retries = 0;
-    fleet_config.arq.retry_timeout = 1.0;
+    fleet_config.arq = arq;
     // Node 1 holds the only worker in the sink until node 0's frames
     // are all queued, so node 0 is drained decode_batch frames per
     // dispatch whatever the host's timing.
@@ -821,19 +869,11 @@ TEST(FleetTest, DecodeBatchWidthsDeliverTheSameWindows) {
     return fleet.finish();
   };
 
-  std::vector<Delivery> reference;
+  std::vector<Delivery> first;
   std::vector<double> unused;
-  const FleetReport expected = run(1, reference, unused);
-  const FleetNodeStats& stream = expected.nodes[0];
-  EXPECT_EQ(stream.profiles_applied, 2u);
-  EXPECT_EQ(stream.frames_corrupt, 1u);
-  EXPECT_EQ(stream.frames_rejected, 3u);  // w2 behind w1, w4, w5 behind w4
-  EXPECT_EQ(stream.windows_reconstructed, 7u);
-  EXPECT_EQ(stream.windows_concealed, 5u);  // w1, w2, w4, w5, w8
-  ASSERT_EQ(reference.size(), kWindows);
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    EXPECT_EQ(reference[w].sequence, w);
-  }
+  const FleetReport expected = run(1, first, unused);
+  EXPECT_TRUE(first == reference);
+  expect_same_ledger(expected.nodes[0], stream);
 
   for (std::size_t batch = 2; batch <= 4; ++batch) {
     SCOPED_TRACE("decode_batch " + std::to_string(batch));
@@ -841,6 +881,7 @@ TEST(FleetTest, DecodeBatchWidthsDeliverTheSameWindows) {
     std::vector<double> decode_seconds;
     const FleetReport report = run(batch, got, decode_seconds);
     EXPECT_TRUE(got == reference);
+    expect_same_ledger(report.nodes[0], stream);
     EXPECT_EQ(report.frames_submitted, expected.frames_submitted);
     EXPECT_EQ(report.frames_corrupt, expected.frames_corrupt);
     EXPECT_EQ(report.frames_rejected, expected.frames_rejected);
@@ -1270,6 +1311,24 @@ TEST(FleetGroupTest, DecodedGroupsMatchDirectDecoderBitwise) {
     }
   }
 
+  // The same frames through a bare Coordinator on this thread: the
+  // fleet's node must receive exactly as it does alone.
+  std::vector<Delivery> bare_delivered;
+  Coordinator bare(group_profile());
+  {
+    Coordinator::Wiring wiring;
+    wiring.deliver = [&](const FleetWindow& window) {
+      bare_delivered.push_back(Delivery::of(window));
+    };
+    bare.wire(std::move(wiring));
+    solvers::SolverWorkspace workspace;
+    for (const auto& frame : frames) {
+      bare.receive(std::vector<std::uint8_t>(frame), workspace,
+                   /*conceal_only=*/false);
+    }
+    bare.finish(workspace, /*conceal_only=*/false);
+  }
+
   std::mutex mutex;
   std::vector<Delivery> delivered;
   FleetConfig fleet_config;
@@ -1288,6 +1347,8 @@ TEST(FleetGroupTest, DecodedGroupsMatchDirectDecoderBitwise) {
   EXPECT_EQ(report.windows_reconstructed, kWindows);
   EXPECT_EQ(report.windows_concealed, 0u);
   expect_ledger_closes(report, kGroupLeads);
+  EXPECT_TRUE(delivered == bare_delivered);
+  expect_same_ledger(report.nodes[0], bare.stats());
   ASSERT_EQ(delivered.size(), kWindows * kGroupLeads);
   for (std::size_t w = 0; w < kWindows; ++w) {
     for (std::size_t l = 0; l < kGroupLeads; ++l) {
@@ -1418,6 +1479,40 @@ TEST(FleetGroupTest, ConcealOnlyShedsWholeGroupsAndResumesExactly) {
         EXPECT_TRUE(got.bits == reference[l]);
       }
     }
+  }
+}
+
+TEST(FleetGroupTest, TailPartialsConcealInSequenceOrderAcrossTheWrap) {
+  // A 2-lead node with ARQ off gets lead 0 only of sequences 65534,
+  // 65535, 0 and 1. No group completes, so finish() conceals all four —
+  // oldest first across the 65535 -> 0 wrap, as the sink contract says.
+  std::vector<Delivery> delivered;
+  FleetConfig fleet_config;
+  fleet_config.workers = 1;
+  fleet_config.arq.enabled = false;
+  FleetCoordinator fleet(fleet_config, [&](const FleetWindow& window) {
+    delivered.push_back(Delivery::of(window));
+  });
+  fleet.add_node(core::profile_for_cr(50.0).with_leads(2));
+  const std::vector<std::uint16_t> sequences{65534, 65535, 0, 1};
+  for (const std::uint16_t sequence : sequences) {
+    core::Packet packet;
+    packet.sequence = sequence;
+    packet.kind = core::PacketKind::kDifferential;
+    packet.lead = 0;
+    packet.payload = {0x5A};
+    fleet.submit(0, packet.serialize());
+  }
+  const FleetReport report = fleet.finish();
+
+  EXPECT_EQ(report.windows_concealed, sequences.size());
+  EXPECT_EQ(report.frames_discarded, sequences.size());
+  ASSERT_EQ(delivered.size(), 2 * sequences.size());
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    SCOPED_TRACE("delivery " + std::to_string(i));
+    EXPECT_TRUE(delivered[i].concealed);
+    EXPECT_EQ(delivered[i].wire_sequence, sequences[i / 2]);
+    EXPECT_EQ(delivered[i].lead, i % 2);
   }
 }
 

@@ -256,7 +256,8 @@ TEST(ArqTransmitterTest, DisabledIsInert) {
 TEST(ArqReceiverTest, InOrderFramesReleaseImmediately) {
   ArqReceiver rx;
   for (std::uint16_t s = 0; s < 3; ++s) {
-    const auto out = rx.on_frame(s, test_frame(s), static_cast<double>(s));
+    ArqReceiver::Output out;
+    rx.on_frame(s, test_frame(s), static_cast<double>(s), out);
     ASSERT_EQ(out.events.size(), 1u);
     EXPECT_EQ(out.events[0].sequence, s);
     EXPECT_FALSE(out.events[0].lost);
@@ -271,8 +272,10 @@ TEST(ArqReceiverTest, InOrderFramesReleaseImmediately) {
 
 TEST(ArqReceiverTest, GapTriggersImmediateNack) {
   ArqReceiver rx;
-  (void)rx.on_frame(0, test_frame(0), 0.0);
-  const auto out = rx.on_frame(2, test_frame(2), 1.0);
+  ArqReceiver::Output ignored;
+  rx.on_frame(0, test_frame(0), 0.0, ignored);
+  ArqReceiver::Output out;
+  rx.on_frame(2, test_frame(2), 1.0, out);
   // Frame 2 is buffered, not released; sequence 1 is NACKed.
   EXPECT_TRUE(out.events.empty());
   ASSERT_GE(out.feedback.size(), 1u);
@@ -284,10 +287,12 @@ TEST(ArqReceiverTest, GapTriggersImmediateNack) {
 
 TEST(ArqReceiverTest, RetransmissionFillsGapAndReleasesRun) {
   ArqReceiver rx;
-  (void)rx.on_frame(0, test_frame(0), 0.0);
-  (void)rx.on_frame(2, test_frame(2), 1.0);
-  (void)rx.on_frame(3, test_frame(3), 2.0);
-  const auto out = rx.on_frame(1, test_frame(1), 3.0);  // repair arrives
+  ArqReceiver::Output ignored;
+  rx.on_frame(0, test_frame(0), 0.0, ignored);
+  rx.on_frame(2, test_frame(2), 1.0, ignored);
+  rx.on_frame(3, test_frame(3), 2.0, ignored);
+  ArqReceiver::Output out;
+  rx.on_frame(1, test_frame(1), 3.0, out);  // repair arrives
   ASSERT_EQ(out.events.size(), 3u);
   EXPECT_EQ(out.events[0].sequence, 1u);
   EXPECT_EQ(out.events[1].sequence, 2u);
@@ -305,12 +310,14 @@ TEST(ArqReceiverTest, HopelessGapIsAbandonedAsLost) {
   config.retry_timeout = 1.0;
   config.backoff_factor = 1.0;
   ArqReceiver rx(config);
-  (void)rx.on_frame(0, test_frame(0), 0.0);
-  (void)rx.on_frame(2, test_frame(2), 1.0);  // NACK #1 for seq 1
+  ArqReceiver::Output ignored;
+  rx.on_frame(0, test_frame(0), 0.0, ignored);
+  rx.on_frame(2, test_frame(2), 1.0, ignored);  // NACK #1 for seq 1
   std::vector<ArqReceiver::Event> events;
   std::size_t nacks = 0;
   for (double now = 2.0; now < 10.0; now += 1.0) {
-    auto out = rx.on_tick(now);
+    ArqReceiver::Output out;
+    rx.on_tick(now, out);
     for (auto& event : out.events) {
       events.push_back(std::move(event));
     }
@@ -331,8 +338,10 @@ TEST(ArqReceiverTest, HopelessGapIsAbandonedAsLost) {
 
 TEST(ArqReceiverTest, DuplicatesAreDetectedAndReAcked) {
   ArqReceiver rx;
-  (void)rx.on_frame(0, test_frame(0), 0.0);
-  const auto out = rx.on_frame(0, test_frame(0), 1.0);  // stale duplicate
+  ArqReceiver::Output ignored;
+  rx.on_frame(0, test_frame(0), 0.0, ignored);
+  ArqReceiver::Output out;
+  rx.on_frame(0, test_frame(0), 1.0, out);  // stale duplicate
   EXPECT_TRUE(out.events.empty());
   ASSERT_EQ(out.feedback.size(), 1u);
   EXPECT_EQ(out.feedback[0].kind, FeedbackMessage::Kind::kAck);
@@ -342,9 +351,11 @@ TEST(ArqReceiverTest, DuplicatesAreDetectedAndReAcked) {
 
 TEST(ArqReceiverTest, FinishFlushesTailLossesInOrder) {
   ArqReceiver rx;
-  (void)rx.on_frame(0, test_frame(0), 0.0);
-  (void)rx.on_frame(3, test_frame(3), 1.0);  // 1 and 2 missing
-  const auto out = rx.finish(2.0);
+  ArqReceiver::Output ignored;
+  rx.on_frame(0, test_frame(0), 0.0, ignored);
+  rx.on_frame(3, test_frame(3), 1.0, ignored);  // 1 and 2 missing
+  ArqReceiver::Output out;
+  rx.finish(2.0, out);
   ASSERT_EQ(out.events.size(), 3u);
   EXPECT_EQ(out.events[0].sequence, 1u);
   EXPECT_TRUE(out.events[0].lost);
@@ -359,11 +370,13 @@ TEST(ArqReceiverTest, ReorderBufferOverflowAbandonsFrontGap) {
   ArqConfig config;
   config.rx_reorder = 3;
   ArqReceiver rx(config);
-  (void)rx.on_frame(0, test_frame(0), 0.0);
+  ArqReceiver::Output ignored;
+  rx.on_frame(0, test_frame(0), 0.0, ignored);
   std::vector<ArqReceiver::Event> events;
   // Sequence 1 never arrives; 2..6 flood the reorder buffer.
   for (std::uint16_t s = 2; s <= 6; ++s) {
-    auto out = rx.on_frame(s, test_frame(s), static_cast<double>(s));
+    ArqReceiver::Output out;
+    rx.on_frame(s, test_frame(s), static_cast<double>(s), out);
     for (auto& event : out.events) {
       events.push_back(std::move(event));
     }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -192,17 +193,29 @@ TEST(NodeCoordinatorTest, RoundTripOverFrames) {
   const auto book = core::train_difference_codebook(db, config.cs);
   SensorNode node(config.cs, book);
   Coordinator coordinator(config, book);
+  const linalg::CountingBackend counting(coordinator.decoder().backend());
+  coordinator.decoder().set_backend(counting);
+  std::size_t delivered = 0;
+  Coordinator::Wiring wiring;
+  wiring.deliver = [&](const FleetWindow& window) {
+    EXPECT_FALSE(window.concealed);
+    EXPECT_EQ(window.sequence, delivered);
+    EXPECT_EQ(window.samples.size(), 512u);
+    ++delivered;
+  };
+  coordinator.wire(std::move(wiring));
+  solvers::SolverWorkspace workspace;
   const auto& record = db.mote(0);
   std::size_t windows = 0;
-  std::vector<float> samples;
   for (std::size_t off = 0; off + 512 <= record.samples.size(); off += 512) {
-    const auto frame = node.process_window(
-        std::span<const std::int16_t>(record.samples.data() + off, 512));
-    ASSERT_EQ(coordinator.consume_frame(frame, samples),
-              Coordinator::FrameResult::kWindow);
-    ASSERT_EQ(samples.size(), 512u);
+    coordinator.receive(
+        node.process_window(
+            std::span<const std::int16_t>(record.samples.data() + off, 512)),
+        workspace, /*conceal_only=*/false);
     ++windows;
+    ASSERT_EQ(delivered, windows);  // an in-order frame decodes at once
   }
+  coordinator.finish(workspace, /*conceal_only=*/false);
   EXPECT_EQ(node.stats().windows_encoded, windows);
   EXPECT_EQ(coordinator.stats().windows_reconstructed, windows);
   EXPECT_EQ(coordinator.stats().frames_rejected, 0u);
@@ -217,45 +230,55 @@ TEST(NodeCoordinatorTest, GarbageFrameIsRejectedNotFatal) {
   core::DecoderConfig config;
   const auto book = core::default_difference_codebook();
   Coordinator coordinator(config, book);
-  const std::vector<std::uint8_t> garbage{1};
-  std::vector<float> window;
-  EXPECT_EQ(coordinator.consume_frame(garbage, window),
-            Coordinator::FrameResult::kRejected);
-  EXPECT_EQ(coordinator.stats().frames_rejected, 1u);
+  solvers::SolverWorkspace workspace;
+  coordinator.receive({1}, workspace, /*conceal_only=*/false);
+  EXPECT_EQ(coordinator.stats().frames_corrupt, 1u);
+  EXPECT_EQ(coordinator.arq_stats().corrupt_frames, 1u);
 }
 
 TEST(NodeCoordinatorTest, ConcealmentDropsWarmPrior) {
   // A concealed window is synthesised, not reconstructed, so the cached
-  // warm prior no longer describes the neighbouring window — both
-  // concealment strategies must invalidate it.
+  // warm prior no longer describes the neighbouring window: it must be
+  // gone by the time the stand-in — a repeat of the last good window —
+  // reaches the owner, whether the ARQ gave the window up or it did not
+  // decode.
   const auto db = small_db();
   core::DecoderConfig config;
   config.prior.warm_start = true;
   const auto book = core::train_difference_codebook(db, config.cs);
   SensorNode node(config.cs, book);
   Coordinator coordinator(config, book);
-  coordinator.set_prior_policy(config.prior);
+  coordinator.decoder().set_prior_policy(config.prior);
+  std::vector<float> last_good;
+  std::vector<bool> warm_at_concealment;
+  Coordinator::Wiring wiring;
+  wiring.deliver = [&](const FleetWindow& window) {
+    if (!window.concealed) {
+      last_good.assign(window.samples.begin(), window.samples.end());
+      return;
+    }
+    warm_at_concealment.push_back(
+        coordinator.decoder().has_warm_prior<float>());
+    EXPECT_TRUE(std::equal(window.samples.begin(), window.samples.end(),
+                           last_good.begin(), last_good.end()));
+  };
+  coordinator.wire(std::move(wiring));
+  solvers::SolverWorkspace workspace;
   const auto& record = db.mote(0);
-  const auto frame = node.process_window(
-      std::span<const std::int16_t>(record.samples.data(), 512));
-  std::vector<float> window;
-  ASSERT_EQ(coordinator.consume_frame(frame, window),
-            Coordinator::FrameResult::kWindow);
+  const auto frame = [&](std::size_t w) {
+    return node.process_window(
+        std::span<const std::int16_t>(record.samples.data() + w * 512, 512));
+  };
+  coordinator.receive(frame(0), workspace, /*conceal_only=*/false);
   ASSERT_TRUE(coordinator.decoder().has_warm_prior<float>());
-
-  const auto held = coordinator.conceal_hold_last();
-  EXPECT_EQ(held.size(), 512u);
-  EXPECT_FALSE(coordinator.decoder().has_warm_prior<float>());
-
-  // Re-prime through the next frame, then the interpolating strategy.
-  const auto frame2 = node.process_window(
-      std::span<const std::int16_t>(record.samples.data() + 512, 512));
-  ASSERT_EQ(coordinator.consume_frame(frame2, window),
-            Coordinator::FrameResult::kWindow);
-  ASSERT_TRUE(coordinator.decoder().has_warm_prior<float>());
-  const std::vector<float> prev(512, 0.0f);
-  const std::vector<float> next(512, 1.0f);
-  (void)coordinator.conceal_interpolated(prev, next, 0, 2);
+  (void)frame(1);  // lost in flight
+  coordinator.receive(frame(2), workspace, /*conceal_only=*/false);
+  coordinator.finish(workspace, /*conceal_only=*/false);
+  // Window 1 is given up; window 2, a differential behind the gap, is
+  // rejected. Both conceal with the prior already dead.
+  EXPECT_EQ(warm_at_concealment, (std::vector<bool>{false, false}));
+  EXPECT_EQ(coordinator.stats().windows_concealed, 2u);
+  EXPECT_EQ(coordinator.stats().frames_rejected, 1u);
   EXPECT_FALSE(coordinator.decoder().has_warm_prior<float>());
 }
 
@@ -496,6 +519,50 @@ TEST(PipelineTest, ReportsAggregateConsistently) {
   EXPECT_GT(report.wall_seconds, 0.0);
 }
 
+TEST(PipelineTest, ReceivesLikeABareCoordinatorOnTheSameFrames) {
+  // With ARQ off and a fixed drop schedule the pipeline's frames are a
+  // pure function of the record and the link seed, so a bare Coordinator
+  // fed the same StreamSession's frames on this thread is a reference
+  // for the consumer thread's receive ledger. (PRD is not compared:
+  // display overruns depend on thread timing.)
+  const auto db = small_db();
+  const auto& record = db.mote(0);
+  core::StreamProfile profile = core::profile_for_cr(50.0);
+  profile.keyframe_interval = 3;
+  PipelineConfig pipe;
+  pipe.arq.enabled = false;
+  pipe.link.drop_schedule = {3, 6};  // windows 2 and 5 vanish
+  RealTimePipeline pipeline(profile, pipe);
+  const PipelineReport report = pipeline.run(record);
+  ASSERT_EQ(report.link.frames_lost, 2u);
+
+  StreamSessionConfig session_config;
+  session_config.link = pipe.link;
+  session_config.arq = pipe.arq;
+  StreamSession session(profile, session_config);
+  Coordinator bare(profile, pipe.arq);
+  const linalg::CountingBackend counting(bare.decoder().backend());
+  bare.decoder().set_backend(counting);
+  solvers::SolverWorkspace workspace;
+  for (std::size_t w = 0; w < report.windows_input; ++w) {
+    session.send_window(
+        std::span<const std::int16_t>(record.samples.data() + w * 512, 512),
+        [&](std::vector<std::uint8_t> frame) {
+          bare.receive(std::move(frame), workspace, /*conceal_only=*/false);
+        });
+  }
+  bare.finish(workspace, /*conceal_only=*/false);
+
+  const CoordinatorStats& want = bare.stats();
+  EXPECT_GT(want.windows_concealed, 0u);
+  EXPECT_EQ(report.coordinator.windows_reconstructed,
+            want.windows_reconstructed);
+  EXPECT_EQ(report.coordinator.windows_concealed, want.windows_concealed);
+  EXPECT_EQ(report.coordinator.iterations_total, want.iterations_total);
+  EXPECT_DOUBLE_EQ(report.coordinator.modelled_seconds_total,
+                   want.modelled_seconds_total);
+}
+
 // ------------------------------------- v1 stream sessions + adaptive --
 
 TEST(StreamSessionTest, V1SessionBootstrapsDecoderInBand) {
@@ -520,25 +587,27 @@ TEST(StreamSessionTest, V1SessionBootstrapsDecoderInBand) {
   }
   ASSERT_EQ(frames.size(), windows + 1);  // announcement + data frames
 
-  std::optional<Coordinator> coordinator;
-  std::vector<float> window;
+  const auto packet = core::Packet::parse(frames.front());
+  ASSERT_TRUE(packet.has_value());
+  ASSERT_EQ(packet->kind, core::PacketKind::kProfile);
+  const auto announced = core::StreamProfile::parse(packet->payload);
+  ASSERT_TRUE(announced.has_value());
+  EXPECT_TRUE(*announced == profile);
+  Coordinator coordinator(*announced);
   std::size_t decoded = 0;
-  for (const auto& frame : frames) {
-    if (!coordinator) {
-      const auto packet = core::Packet::parse(frame);
-      ASSERT_TRUE(packet.has_value());
-      ASSERT_EQ(packet->kind, core::PacketKind::kProfile);
-      const auto announced = core::StreamProfile::parse(packet->payload);
-      ASSERT_TRUE(announced.has_value());
-      EXPECT_TRUE(*announced == profile);
-      coordinator.emplace(*announced);
-    }
-    decoded += coordinator->consume_frame(frame, window) ==
-               Coordinator::FrameResult::kWindow;
+  Coordinator::Wiring wiring;
+  wiring.deliver = [&](const FleetWindow& window) {
+    decoded += !window.concealed;
+  };
+  coordinator.wire(std::move(wiring));
+  solvers::SolverWorkspace workspace;
+  for (auto& frame : frames) {
+    coordinator.receive(std::move(frame), workspace, /*conceal_only=*/false);
   }
+  coordinator.finish(workspace, /*conceal_only=*/false);
   EXPECT_EQ(decoded, windows);
-  EXPECT_EQ(coordinator->stats().profiles_applied, 1u);
-  EXPECT_EQ(coordinator->stats().frames_rejected, 0u);
+  EXPECT_EQ(coordinator.stats().profiles_applied, 1u);
+  EXPECT_EQ(coordinator.stats().frames_rejected, 0u);
 }
 
 TEST(StreamSessionTest, MidStreamReProfileLandsAtKeyframe) {
@@ -564,16 +633,20 @@ TEST(StreamSessionTest, MidStreamReProfileLandsAtKeyframe) {
   }
   ASSERT_EQ(frames.size(), windows + 2);  // two announcements
 
-  std::optional<Coordinator> coordinator;
-  std::vector<float> window;
+  const auto announcement = core::Packet::parse(frames.front());
+  ASSERT_TRUE(announcement.has_value());
+  Coordinator coordinator(*core::StreamProfile::parse(announcement->payload));
   std::size_t decoded = 0;
+  Coordinator::Wiring wiring;
+  wiring.deliver = [&](const FleetWindow& window) {
+    decoded += !window.concealed;
+  };
+  coordinator.wire(std::move(wiring));
+  solvers::SolverWorkspace workspace;
   bool expect_keyframe = false;
-  for (const auto& frame : frames) {
+  for (auto& frame : frames) {
     const auto packet = core::Packet::parse(frame);
     ASSERT_TRUE(packet.has_value());
-    if (!coordinator) {
-      coordinator.emplace(*core::StreamProfile::parse(packet->payload));
-    }
     if (packet->kind == core::PacketKind::kProfile) {
       expect_keyframe = true;
     } else if (expect_keyframe) {
@@ -581,12 +654,12 @@ TEST(StreamSessionTest, MidStreamReProfileLandsAtKeyframe) {
       EXPECT_EQ(packet->kind, core::PacketKind::kAbsolute);
       expect_keyframe = false;
     }
-    decoded += coordinator->consume_frame(frame, window) ==
-               Coordinator::FrameResult::kWindow;
+    coordinator.receive(std::move(frame), workspace, /*conceal_only=*/false);
   }
+  coordinator.finish(workspace, /*conceal_only=*/false);
   EXPECT_EQ(decoded, windows);
-  EXPECT_EQ(coordinator->stats().profiles_applied, 2u);
-  EXPECT_EQ(coordinator->stats().frames_rejected, 0u);
+  EXPECT_EQ(coordinator.stats().profiles_applied, 2u);
+  EXPECT_EQ(coordinator.stats().frames_rejected, 0u);
   ASSERT_TRUE(session.profile().has_value());
   EXPECT_EQ(session.profile()->measurements,
             core::measurements_for_cr(512, 70.0));
@@ -698,10 +771,13 @@ TEST(ArqReceiverTest, DeliversInOrderAcrossTwoWraparounds) {
   ArqReceiver receiver(ArqConfig{}, /*first_sequence=*/0);
   constexpr std::uint32_t kFrames = 2 * 65536 + 41;
   std::uint32_t next_expected = 0;
+  ArqReceiver::Output out;
   for (std::uint32_t i = 0; i < kFrames; ++i) {
-    auto out = receiver.on_frame(static_cast<std::uint16_t>(i),
-                                 {static_cast<std::uint8_t>(i)},
-                                 static_cast<double>(i));
+    out.events.clear();
+    out.feedback.clear();
+    receiver.on_frame(static_cast<std::uint16_t>(i),
+                      {static_cast<std::uint8_t>(i)}, static_cast<double>(i),
+                      out);
     for (const auto& event : out.events) {
       ASSERT_FALSE(event.lost) << "frame " << i;
       ASSERT_EQ(event.sequence, static_cast<std::uint16_t>(next_expected))
@@ -719,7 +795,12 @@ TEST(ArqReceiverTest, RecoversOneGapPerCycleAcrossTwoWraparounds) {
   constexpr std::uint32_t kFrames = 2 * 65536 + 5;
   std::uint32_t next_expected = 0;
   std::uint32_t delivered = 0;
-  const auto drain = [&](ArqReceiver::Output out, std::uint32_t i) {
+  ArqReceiver::Output out;
+  const auto feed = [&](std::uint16_t sequence, std::uint8_t byte,
+                        double now, std::uint32_t i) {
+    out.events.clear();
+    out.feedback.clear();
+    receiver.on_frame(sequence, {byte}, now, out);
     for (const auto& event : out.events) {
       ASSERT_FALSE(event.lost) << "frame " << i;
       ASSERT_EQ(event.sequence, static_cast<std::uint16_t>(next_expected))
@@ -736,10 +817,9 @@ TEST(ArqReceiverTest, RecoversOneGapPerCycleAcrossTwoWraparounds) {
       // after its successor has already exposed the gap.
       continue;
     }
-    drain(receiver.on_frame(sequence, {static_cast<std::uint8_t>(i)}, now),
-          i);
+    feed(sequence, static_cast<std::uint8_t>(i), now, i);
     if (sequence == 0 && i > 0) {
-      drain(receiver.on_frame(65534, {std::uint8_t{42}}, now), i);
+      feed(65534, std::uint8_t{42}, now, i);
     }
   }
   EXPECT_EQ(delivered, kFrames);
