@@ -150,7 +150,6 @@ class Coordinator {
   /// The receiver's decoder: set its backend and prior policy here
   /// before the first frame.
   core::Decoder& decoder() { return decoder_; }
-  const core::Decoder& decoder() const { return decoder_; }
 
   /// Processes one raw link frame: CRC check, group assembly, the ARQ
   /// (its feedback goes out first), then every window the frame
