@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <type_traits>
 #include <utility>
 
@@ -32,6 +33,12 @@ Coordinator::Coordinator(const core::StreamProfile& profile,
       leads_(std::max<std::size_t>(1, decoder_.config().cs.leads)),
       arq_(arq, /*first_sequence=*/0),
       last_window_(decoder_.config().cs.window * leads_, 0.0f) {}
+
+void Coordinator::wire(Wiring wiring) {
+  wiring_ = std::move(wiring);
+  profile_slots_ = wiring_.announced ? 1 : 0;
+  opening_ = wiring_.announced;
+}
 
 void Coordinator::recycle(std::vector<std::uint8_t>&& frame) {
   if (wiring_.recycler) {
@@ -85,6 +92,7 @@ void Coordinator::assemble_group(std::vector<std::uint8_t> frame) {
     arq_.on_tick(ticks_, out_);
     return;
   }
+  discard_stale(sequence);
   auto& slots = assembling_[sequence];
   if (slots.empty()) {
     slots.resize(leads_);
@@ -143,12 +151,36 @@ void Coordinator::discard_assembly(std::uint16_t sequence) {
   }
 }
 
+void Coordinator::discard_stale(std::uint16_t sequence) {
+  const auto stale = [sequence](std::uint16_t parked) {
+    return std::abs(static_cast<std::int16_t>(
+               static_cast<std::uint16_t>(sequence - parked))) >=
+           kStaleDistance;
+  };
+  // The parked keys span under half the sequence space, so the stale
+  // ones sit at the ends of the map's order.
+  for (GroupFrames* parked : {&assembling_, &ready_groups_}) {
+    while (!parked->empty() && stale(parked->begin()->first)) {
+      discard_assembly(parked->begin()->first);
+    }
+    while (!parked->empty() && stale(parked->rbegin()->first)) {
+      discard_assembly(parked->rbegin()->first);
+    }
+  }
+}
+
 void Coordinator::handle_event(ArqReceiver::Event& event,
                                solvers::SolverWorkspace& workspace,
                                bool conceal_only) {
+  // An announced stream's first event, at sequence 0, is its opening
+  // announcement (or its loss), already counted in profile_slots_.
+  const bool opening = std::exchange(opening_, false) && event.sequence == 0;
   const auto slot =
       static_cast<std::uint16_t>(event.sequence - profile_slots_);
   if (event.lost) {
+    if (opening) {
+      return;  // the lost announcement took no window with it
+    }
     flush(workspace);
     // A lost group sequence conceals whole; drop any partial assembly of
     // it so late stragglers cannot resurrect a concealed window. The
@@ -187,7 +219,7 @@ void Coordinator::handle_event(ArqReceiver::Event& event,
       // pending rows, and its slot ordering matters to the owner: drain
       // them first.
       flush(workspace);
-      ++profile_slots_;
+      profile_slots_ += opening ? 0 : 1;
       if (decoder_.consume(packet_, y_scratch_) ==
           core::Decoder::FrameOutcome::kProfileApplied) {
         ++stats_.profiles_applied;

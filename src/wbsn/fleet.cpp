@@ -138,7 +138,9 @@ bool FleetCoordinator::try_submit(std::uint32_t node_id,
     // through the recycler so a pooled ingest side conserves its pool
     // even across refusals.
     lock.unlock();
-    recycle(std::move(frame));
+    if (config_.frame_recycler) {
+      config_.frame_recycler(std::move(frame));
+    }
     return false;
   }
   enqueue_locked(*nodes_[node_id], std::move(frame));
@@ -161,12 +163,6 @@ void FleetCoordinator::enqueue_locked(NodeState& node,
     node.scheduled = true;
     runnable_.push_back(&node);
     work_cv_.notify_one();
-  }
-}
-
-void FleetCoordinator::recycle(std::vector<std::uint8_t>&& frame) {
-  if (config_.frame_recycler) {
-    config_.frame_recycler(std::move(frame));
   }
 }
 

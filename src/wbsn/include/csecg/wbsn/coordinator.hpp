@@ -48,8 +48,9 @@ enum class ConcealmentStrategy : std::uint8_t {
 struct FleetWindow {
   std::uint32_t node_id = 0;
   /// The sender's input-window index: the wire sequence minus the
-  /// kProfile frames seen so far, so sinks can align reconstructions
-  /// with the original stream even on v1 sessions.
+  /// kProfile frames the stream spent before it (see Wiring::announced),
+  /// so sinks can align reconstructions with the original stream even
+  /// on v1 sessions.
   std::uint16_t sequence = 0;
   /// The raw on-wire frame sequence this delivery answers. The gateway's
   /// end-to-end latency stamps are keyed by it (ingest sees only wire
@@ -130,6 +131,11 @@ class Coordinator {
     /// crc_mismatch, frame_rejected and profile_applied events land here
     /// when set.
     obs::FlightRecorder* flight = nullptr;
+    /// The stream opens with its kProfile announcement at sequence 0, as
+    /// a StreamSession built from a profile does: that sequence maps to
+    /// no window even when the announcement is lost. Off for a profile
+    /// registered out of band, as the fleet's nodes are.
+    bool announced = false;
   };
 
   /// v0: the receiver shares \p config and \p codebook with the sender
@@ -145,7 +151,7 @@ class Coordinator {
                        const ArqConfig& arq = {},
                        platform::CortexA8Model model = {});
 
-  void wire(Wiring wiring) { wiring_ = std::move(wiring); }
+  void wire(Wiring wiring);
 
   /// The receiver's decoder: set its backend and prior policy here
   /// before the first frame.
@@ -179,10 +185,14 @@ class Coordinator {
 
  private:
   /// Group frames parked per sequence, ordered wrap-safely so the
-  /// oldest is always first.
+  /// oldest is always first. SeqLess orders only keys spanning under
+  /// half the sequence space, so an arrival first discards parked
+  /// sequences kStaleDistance (about nine hours of 2 s windows) or more
+  /// from it: they are from another lap and can never complete.
   using GroupFrames =
       std::map<std::uint16_t, std::vector<std::vector<std::uint8_t>>,
                SeqLess>;
+  static constexpr int kStaleDistance = 1 << 14;
 
   /// Collects one data frame of a lead-group stream (leads > 1). The
   /// ArqReceiver tracks one buffer per sequence, so group frames park
@@ -193,6 +203,8 @@ class Coordinator {
   /// Drops (and recycles) any parked assembly of \p sequence, counting
   /// the stranded frames into frames_discarded.
   void discard_assembly(std::uint16_t sequence);
+  /// Discards parked sequences kStaleDistance or more from \p sequence.
+  void discard_stale(std::uint16_t sequence);
   /// Decodes, conceals or applies one in-order ARQ decision.
   void handle_event(ArqReceiver::Event& event,
                     solvers::SolverWorkspace& workspace, bool conceal_only);
@@ -213,8 +225,11 @@ class Coordinator {
   double ticks_ = 0.0;       ///< frames received: the ARQ clock
   /// kProfile frames consume wire sequence numbers but carry no window;
   /// subtracting the running count maps a frame's sequence back to the
-  /// sender's input-window index. Zero on v0 streams.
+  /// sender's input-window index. Zero on v0 streams. An announced
+  /// stream counts its opening announcement up front and holds opening_
+  /// until its first ARQ event (sequence 0: the announcement or its loss).
   std::uint16_t profile_slots_ = 0;
+  bool opening_ = false;
   /// Parse target reused for every frame (payload capacity survives).
   core::Packet packet_;
   /// Group parse targets, one per lead, kept like packet_.

@@ -282,7 +282,6 @@ class FleetCoordinator {
   /// Appends \p frame to the node's inbox and wakes a worker. Caller
   /// holds mutex_ and has checked queue space.
   void enqueue_locked(NodeState& node, std::vector<std::uint8_t> frame);
-  void recycle(std::vector<std::uint8_t>&& frame);
   /// Feeds one dispatch's frames to the node's Coordinator, then
   /// flushes it: anything still pending reaches the sink before another
   /// worker picks the node up.

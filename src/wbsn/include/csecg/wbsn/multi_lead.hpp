@@ -19,16 +19,16 @@
 ///    kernels, one operator traversal per iteration regardless of L).
 ///    This is the sub-additive operating point EXP-A15 measures.
 ///
-/// Each stream is received by one Coordinator (coordinator.hpp, default
-/// ArqConfig), fed its link's frames on the calling thread and finished
-/// at the end; its feedback is not relayed, so a lost frame is never
-/// retransmitted and its window conceals (whole, for a group). Each
-/// session's first frame is the v1/v2 kProfile announcement, which the
-/// coordinator applies like any receiver — nothing else crosses but
-/// receiver-side solver policy (lambda, backend, prior), which is not
-/// part of the wire contract. The coordinators decode through a
-/// counting decorator, so coordinator_cpu_usage is Cortex-A8 model
-/// time.
+/// Each stream is received by one Coordinator (coordinator.hpp), fed its
+/// link's frames on the calling thread with the ARQ off (no feedback is
+/// relayed, so nothing is retransmitted): a decoded window is scored in
+/// the send call that carried it, a lost one is not scored (a group
+/// loses every lead). Each session's first frame is the v1/v2 kProfile
+/// announcement, which the coordinator applies like any receiver —
+/// nothing else crosses but receiver-side solver policy (lambda,
+/// backend, prior), which is not part of the wire contract. The
+/// coordinators decode through a counting decorator, so
+/// coordinator_cpu_usage is Cortex-A8 model time.
 
 #include <cstdint>
 #include <vector>

@@ -118,9 +118,9 @@ class RealTimePipeline {
   /// v1: profile-driven pipeline. The producer announces \p profile
   /// in-band; the consumer's coordinator starts from the same profile,
   /// as the fleet, the gateway and run_multi_lead register a v1 node,
-  /// and the announcement re-applies it (counted in profiles_applied).
-  /// Later announcements (adaptive CR) re-profile it mid-stream.
-  /// Required for pipeline_config.adaptive.
+  /// and the announcement re-applies it (counted in profiles_applied;
+  /// losing it shifts no window's slot). Later announcements (adaptive
+  /// CR) re-profile it mid-stream. Required for pipeline_config.adaptive.
   explicit RealTimePipeline(const core::StreamProfile& profile,
                             const PipelineConfig& pipeline_config = {});
 

@@ -68,6 +68,10 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
 
   StreamSessionConfig session_config;
   session_config.link = link_config;
+  // No feedback is relayed, so a receiver ARQ could repair nothing: with
+  // it off every frame is received as it arrives, and a decoded window is
+  // delivered inside the send call that carried it.
+  const ArqConfig receiver_arq{.enabled = false};
   // Every receiver decodes through one counting decorator over the
   // configured kernels, so each solve is priced on the Cortex-A8 model.
   const linalg::CountingBackend counting(config.backend != nullptr
@@ -78,6 +82,7 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
   std::vector<double> original(n);
   std::vector<double> recon(n);
   std::vector<std::size_t> decoded(lead_count, 0);
+  std::size_t sending = windows;  // the window in flight; none outside
 
   std::vector<std::unique_ptr<StreamSession>> sessions;
   std::vector<std::unique_ptr<Coordinator>> receivers;
@@ -88,29 +93,31 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
     sessions.push_back(std::make_unique<StreamSession>(
         bootstrap_profile(stream_config), session_config));
     receivers.push_back(std::make_unique<Coordinator>(
-        stream_config, core::default_difference_codebook()));
+        stream_config, core::default_difference_codebook(), receiver_arq));
     receivers.back()->decoder().set_backend(counting);
-    // Score every decoded window against its source, keyed by slot and
-    // lead; concealed windows are never scored as clean.
+    // Score every decoded window against the source window being sent,
+    // lead by lead; concealed windows are never scored as clean.
     Coordinator::Wiring wiring;
+    wiring.announced = true;
     wiring.deliver = [&, s](const FleetWindow& window) {
       if (window.concealed) {
         return;
       }
+      CSECG_CHECK(sending < windows, "decoded window outside its send call");
       const std::size_t lead = s + window.lead;
       ++decoded[lead];
-      report.per_lead_prd[lead] +=
-          window_prd(*leads[lead], window.sequence * n, window.samples, n,
-                     original, recon);
+      report.per_lead_prd[lead] += window_prd(
+          *leads[lead], sending * n, window.samples, n, original, recon);
     };
     receivers.back()->wire(std::move(wiring));
   }
 
   // Frames go straight from each session's link into its receiver on
-  // this thread; the receivers' feedback is not relayed.
+  // this thread.
   solvers::SolverWorkspace workspace;
   std::vector<std::int16_t> flat(stream_leads * n);
   for (std::size_t w = 0; w < windows; ++w) {
+    sending = w;
     for (std::size_t s = 0; s < streams; ++s) {
       for (std::size_t l = 0; l < stream_leads; ++l) {
         std::copy_n(leads[s + l]->samples.begin() +
@@ -129,6 +136,7 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
       }
     }
   }
+  sending = windows;
 
   double total_decode_s = 0.0;
   double iterations_total = 0.0;

@@ -91,10 +91,14 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
   // The coordinator starts from the producer's wire contract: the v0
   // config and codebook the paper's fixed deployment shares
   // out-of-band, or the v1 profile, which the stream's own announcement
-  // frame then re-applies. Its kernels run through a counting decorator
-  // so every reconstruct is priced on the Cortex-A8 model; the decorator
-  // is declared first so it outlives the decoder that points at it.
-  std::optional<linalg::CountingBackend> counting;
+  // frame then re-applies. Its kernels (the configured ones, else the
+  // v0 decoder's) run through a counting decorator so every reconstruct
+  // is priced on the Cortex-A8 model; the decorator is declared first so
+  // it outlives the decoder that points at it.
+  const linalg::CountingBackend counting(
+      pipeline_config_.backend != nullptr ? *pipeline_config_.backend
+      : config_.backend != nullptr        ? *config_.backend
+                                          : linalg::default_backend());
   std::optional<Coordinator> coordinator_storage;
   if (profile_) {
     coordinator_storage.emplace(*profile_, pipeline_config_.arq);
@@ -102,10 +106,7 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
     coordinator_storage.emplace(config_, *codebook_, pipeline_config_.arq);
   }
   Coordinator& coordinator = *coordinator_storage;
-  counting.emplace(pipeline_config_.backend != nullptr
-                       ? *pipeline_config_.backend
-                       : coordinator.decoder().backend());
-  coordinator.decoder().set_backend(*counting);
+  coordinator.decoder().set_backend(counting);
 
   // Frame queue between the node and the coordinator thread. With ARQ the
   // depth doubles as flow control: the producer may run no more than one
@@ -216,6 +217,7 @@ PipelineReport RealTimePipeline::run(const ecg::Record& record) {
     };
 
     Coordinator::Wiring wiring;
+    wiring.announced = profile_.has_value();
     // StreamSession::on_feedback is thread-safe, so it is the feedback
     // channel.
     wiring.feedback = [&](std::span<const FeedbackMessage> messages) {

@@ -1516,5 +1516,41 @@ TEST(FleetGroupTest, TailPartialsConcealInSequenceOrderAcrossTheWrap) {
   }
 }
 
+TEST(FleetGroupTest, StalePartialCannotCaptureAGroupHalfTheSpaceLater) {
+  // A 3-lead node with ARQ off gets lead 0 only of sequence 0, then a
+  // whole group numbered 32768, half the sequence space later. Neither
+  // sequence precedes the other, so the stale partial must be discarded
+  // on the new group's arrival, not taken for it: window 32768 decodes.
+  const auto frames = encode_group_stream(1);
+  std::vector<Delivery> delivered;
+  FleetConfig fleet_config;
+  fleet_config.workers = 1;
+  fleet_config.arq.enabled = false;
+  FleetCoordinator fleet(fleet_config, [&](const FleetWindow& window) {
+    delivered.push_back(Delivery::of(window));
+  });
+  fleet.add_node(group_profile());
+  fleet.submit(0, std::vector<std::uint8_t>(frames[0]));
+  for (const auto& frame : frames) {
+    auto packet = core::Packet::parse(frame);
+    ASSERT_TRUE(packet.has_value());
+    packet->sequence = 32768;
+    fleet.submit(0, packet->serialize());
+  }
+  const FleetReport report = fleet.finish();
+
+  EXPECT_EQ(report.windows_reconstructed, 1u);
+  EXPECT_EQ(report.windows_concealed, 0u);
+  EXPECT_EQ(report.frames_discarded, 1u);
+  expect_ledger_closes(report, kGroupLeads);
+  ASSERT_EQ(delivered.size(), kGroupLeads);
+  for (std::size_t l = 0; l < kGroupLeads; ++l) {
+    SCOPED_TRACE("lead " + std::to_string(l));
+    EXPECT_FALSE(delivered[l].concealed);
+    EXPECT_EQ(delivered[l].wire_sequence, 32768u);
+    EXPECT_EQ(delivered[l].lead, l);
+  }
+}
+
 }  // namespace
 }  // namespace csecg::wbsn

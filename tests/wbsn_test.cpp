@@ -495,6 +495,29 @@ TEST(MultiLeadTest, LeadsUseDistinctSensingMatrices) {
   EXPECT_GT(differing, y0.size() / 2);
 }
 
+TEST(MultiLeadTest, LostAnnouncementShiftsNoWindow) {
+  // The link drops every session's first frame, its kProfile
+  // announcement. The receivers start from the same profile and nothing
+  // is retransmitted, so every window still decodes and is scored
+  // against its own source window: the report equals the lossless one.
+  const auto db = small_db();
+  core::DecoderConfig config;
+  const std::vector<const ecg::Record*> two{&db.mote(0), &db.mote_lead2(0)};
+  LinkConfig lossy;
+  lossy.drop_schedule = {0};
+  for (const auto mode : {wbsn::MultiLeadMode::kIndependent,
+                          wbsn::MultiLeadMode::kJointGroup}) {
+    SCOPED_TRACE(mode == wbsn::MultiLeadMode::kJointGroup ? "joint"
+                                                          : "independent");
+    const auto clean = wbsn::run_multi_lead(two, config, {}, mode);
+    const auto dropped = wbsn::run_multi_lead(two, config, lossy, mode);
+    EXPECT_EQ(dropped.per_lead_prd, clean.per_lead_prd);
+    EXPECT_EQ(dropped.mean_prd, clean.mean_prd);
+    EXPECT_EQ(dropped.mean_decode_iterations, clean.mean_decode_iterations);
+    EXPECT_EQ(dropped.coordinator_cpu_usage, clean.coordinator_cpu_usage);
+  }
+}
+
 TEST(MultiLeadTest, ValidatesInput) {
   const auto db = small_db();
   core::DecoderConfig config;
@@ -608,6 +631,62 @@ TEST(StreamSessionTest, V1SessionBootstrapsDecoderInBand) {
   EXPECT_EQ(decoded, windows);
   EXPECT_EQ(coordinator.stats().profiles_applied, 1u);
   EXPECT_EQ(coordinator.stats().frames_rejected, 0u);
+}
+
+TEST(StreamSessionTest, AbandonedAnnouncementShiftsNoWindow) {
+  // The link drops the session's announcement and no feedback reaches
+  // the sender, so the receiver's ARQ gives sequence 0 up. On an
+  // announced stream that sequence is the announcement's: nothing
+  // conceals for it, and every window is delivered under its own index,
+  // bit for bit as on the lossless stream.
+  const auto db = small_db();
+  const auto& record = db.mote(0);
+  const core::StreamProfile profile = core::profile_for_cr(50.0);
+  struct Received {
+    std::vector<std::uint16_t> sequences;
+    std::vector<std::vector<float>> samples;
+    std::size_t concealed = 0;
+    std::size_t abandoned = 0;
+  };
+  const auto receive = [&](const LinkConfig& link) {
+    StreamSessionConfig session_config;
+    session_config.link = link;
+    StreamSession session(profile, session_config);
+    Coordinator coordinator(profile);
+    Received got;
+    Coordinator::Wiring wiring;
+    wiring.announced = true;
+    wiring.deliver = [&](const FleetWindow& window) {
+      got.sequences.push_back(window.sequence);
+      got.samples.emplace_back(window.samples.begin(), window.samples.end());
+      got.concealed += window.concealed;
+    };
+    coordinator.wire(std::move(wiring));
+    solvers::SolverWorkspace workspace;
+    for (std::size_t off = 0; off + 512 <= record.samples.size();
+         off += 512) {
+      session.send_window(
+          std::span<const std::int16_t>(record.samples.data() + off, 512),
+          [&](std::vector<std::uint8_t> frame) {
+            coordinator.receive(std::move(frame), workspace,
+                                /*conceal_only=*/false);
+          });
+    }
+    coordinator.finish(workspace, /*conceal_only=*/false);
+    got.abandoned = coordinator.arq_stats().windows_abandoned;
+    return got;
+  };
+  const Received clean = receive({});
+  LinkConfig lossy;
+  lossy.drop_schedule = {0};
+  const Received dropped = receive(lossy);
+
+  ASSERT_EQ(clean.sequences.size(), record.samples.size() / 512);
+  EXPECT_EQ(clean.concealed, 0u);
+  EXPECT_EQ(dropped.abandoned, 1u);
+  EXPECT_EQ(dropped.concealed, 0u);
+  EXPECT_EQ(dropped.sequences, clean.sequences);
+  EXPECT_TRUE(dropped.samples == clean.samples);
 }
 
 TEST(StreamSessionTest, MidStreamReProfileLandsAtKeyframe) {
@@ -746,6 +825,34 @@ TEST(PipelineTest, ProfileDrivenPipelineSurvivesLossWithArq) {
   EXPECT_EQ(report.windows_displayed + report.display_overruns,
             report.windows_input);
   EXPECT_GE(report.profiles_applied, 1u);
+}
+
+TEST(PipelineTest, LostAnnouncementShiftsNoWindow) {
+  // The link drops the v1 announcement (transmit 0). The coordinator
+  // starts from the producer's profile, so every window still decodes
+  // and lands in its own display slot. A display deep enough for the
+  // whole record keeps thread timing out of the PRD.
+  const auto db = small_db();
+  const auto& record = db.mote(0);
+  const core::StreamProfile profile = core::profile_for_cr(50.0);
+  PipelineConfig pipe;
+  pipe.arq.enabled = false;
+  pipe.display_buffer_seconds = 64.0;
+  const PipelineReport clean = RealTimePipeline(profile, pipe).run(record);
+  ASSERT_EQ(clean.windows_displayed, clean.windows_input);
+
+  // ARQ off: nothing is retransmitted, so the stream carries no
+  // announcement at all, and it scores exactly like the lossless run.
+  pipe.link.drop_schedule = {0};
+  const PipelineReport dropped = RealTimePipeline(profile, pipe).run(record);
+  ASSERT_EQ(dropped.link.frames_lost, 1u);
+  EXPECT_EQ(dropped.profiles_applied, 0u);
+  EXPECT_EQ(dropped.windows_displayed, dropped.windows_input);
+  EXPECT_EQ(dropped.windows_concealed, 0u);
+  EXPECT_EQ(dropped.coordinator.windows_reconstructed, dropped.windows_input);
+  EXPECT_EQ(dropped.coordinator.iterations_total,
+            clean.coordinator.iterations_total);
+  EXPECT_EQ(dropped.mean_prd, clean.mean_prd);
 }
 
 // ---------------------------------------------- sequence wraparound --
