@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "csecg/coding/huffman.hpp"
@@ -13,8 +14,10 @@
 #include "csecg/core/encoder.hpp"
 #include "csecg/core/mote_rng.hpp"
 #include "csecg/core/residual.hpp"
+#include "csecg/ecg/database.hpp"
 #include "csecg/util/rng.hpp"
 #include "csecg/wbsn/pipeline.hpp"
+#include "csecg/wbsn/stream_session.hpp"
 
 namespace csecg {
 namespace {
@@ -179,6 +182,69 @@ TEST(WireCompatTest, V0FramesUnchangedByProfileConstruction) {
     const auto b = v0.encode_window(window).serialize();
     ASSERT_EQ(a, b) << "window " << w;
   }
+}
+
+TEST(WireCompatTest, SessionFramesGolden) {
+  // Every frame a lossless, ARQ-off v1 session emits for the first 8
+  // windows of a fixed synthetic record, hashed (FNV-1a 64 over each
+  // frame's length and bytes), single lead and as a 3-lead group. The
+  // encoder's payloads, the node's frame order and the session's
+  // transmit order all feed the hash, so any drift in the sender's wire
+  // bytes fails here. Keyframes every 4 windows put both payload kinds
+  // on the wire.
+  ecg::DatabaseConfig db_config;
+  db_config.record_count = 1;
+  db_config.duration_s = 20.0;
+  db_config.leads = 3;
+  const ecg::SyntheticDatabase db(db_config);
+  struct Digest {
+    std::size_t frames = 0;
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+  };
+  const auto session_digest = [&](std::size_t leads) {
+    core::StreamProfile profile = core::profile_for_cr(50.0);
+    if (leads > 1) {
+      profile = profile.with_leads(leads);
+    }
+    profile.keyframe_interval = 4;
+    wbsn::StreamSessionConfig config;
+    config.arq.enabled = false;
+    wbsn::StreamSession session(profile, config);
+    Digest digest;
+    const auto mix = [&digest](std::uint64_t byte) {
+      digest.hash = (digest.hash ^ byte) * 0x100000001b3ull;
+    };
+    const auto sink = [&](std::vector<std::uint8_t> frame) {
+      ++digest.frames;
+      mix(frame.size() >> 8);
+      mix(frame.size() & 0xFF);
+      for (const std::uint8_t byte : frame) {
+        mix(byte);
+      }
+    };
+    const std::size_t n = profile.window;
+    std::vector<std::int16_t> flat(leads * n);
+    for (std::size_t w = 0; w < 8; ++w) {
+      for (std::size_t l = 0; l < leads; ++l) {
+        const auto& samples = db.mote_lead(0, l).samples;
+        std::copy_n(samples.begin() + static_cast<std::ptrdiff_t>(w * n), n,
+                    flat.begin() + static_cast<std::ptrdiff_t>(l * n));
+      }
+      if (leads > 1) {
+        session.send_group_window(flat, sink);
+      } else {
+        session.send_window(flat, sink);
+      }
+    }
+    return digest;
+  };
+  // The announcement, then one frame per lead per window.
+  const Digest one = session_digest(1);
+  EXPECT_EQ(one.frames, 9u);
+  EXPECT_EQ(one.hash, 0x57f5a4a93c92640dull);
+  const Digest three = session_digest(3);
+  EXPECT_EQ(three.frames, 25u);
+  EXPECT_EQ(three.hash, 0xe51259c733648002ull);
 }
 
 TEST(WireCompatTest, XoshiroGoldenDeterminism) {
