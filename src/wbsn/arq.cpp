@@ -30,11 +30,18 @@ void ArqTransmitter::frame_sent(std::uint16_t sequence,
   entry.next_eligible = now;
   pending_.push_back(std::move(entry));
   ++stats_.frames_tracked;
-  if (pending_.size() > config_.tx_window) {
-    // Bounded buffer: the oldest frame can no longer be repaired. If the
-    // receiver still needed it, its NACK will miss and force a keyframe.
-    pending_.pop_front();
-    ++stats_.frames_evicted;
+  // Bounded buffer: the oldest window can no longer be repaired. Its
+  // frames leave together, since a lead group missing some of its frames
+  // could never be completed by a resend, but the window being registered
+  // stays. If the receiver still needed an evicted window, its NACK will
+  // miss and force a keyframe.
+  while (pending_.size() > config_.tx_window &&
+         pending_.front().sequence != sequence) {
+    const std::uint16_t oldest = pending_.front().sequence;
+    while (pending_.front().sequence == oldest) {
+      pending_.pop_front();
+      ++stats_.frames_evicted;
+    }
   }
 }
 

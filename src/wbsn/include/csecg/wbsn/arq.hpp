@@ -55,7 +55,8 @@ struct ArqConfig {
   double retry_timeout = 2.0;
   /// Exponential backoff factor applied per retry to retry_timeout.
   double backoff_factor = 2.0;
-  /// Node-side retransmission buffer depth (frames).
+  /// Node-side retransmission buffer depth (frames). Overflow evicts the
+  /// oldest window whole, every frame of a lead group together.
   std::size_t tx_window = 16;
   /// Coordinator-side reorder buffer depth (frames).
   std::size_t rx_reorder = 16;

@@ -240,6 +240,24 @@ TEST(ArqTransmitterTest, BoundedBufferEvictsOldest) {
   EXPECT_TRUE(tx.consume_keyframe_request());
 }
 
+TEST(ArqTransmitterTest, EvictionDropsAWholeGroup) {
+  // Six 3-lead windows overflow the default 16-frame buffer. The oldest
+  // group leaves whole: a split group could never be completed by a
+  // resend, so a NACK for it must miss and ask for a keyframe at once
+  // instead of retransmitting a stray lead.
+  ArqTransmitter tx;
+  for (std::uint16_t s = 0; s < 6; ++s) {
+    for (std::uint8_t lead = 0; lead < 3; ++lead) {
+      tx.frame_sent(s, test_frame(s), static_cast<double>(s));
+    }
+  }
+  EXPECT_EQ(tx.pending_frames(), 15u);
+  EXPECT_EQ(tx.stats().frames_evicted, 3u);
+  tx.on_feedback({FeedbackMessage::Kind::kNack, 0}, 6.0);
+  EXPECT_TRUE(tx.due_retransmissions(6.0).empty());
+  EXPECT_TRUE(tx.consume_keyframe_request());
+}
+
 TEST(ArqTransmitterTest, DisabledIsInert) {
   ArqConfig config;
   config.enabled = false;
