@@ -307,25 +307,6 @@ std::uint32_t GatewayService::register_node(const core::StreamProfile& profile) 
   return id;
 }
 
-std::uint32_t GatewayService::register_node(const core::DecoderConfig& config,
-                                            coding::HuffmanCodebook codebook) {
-  std::lock_guard<std::mutex> lock(nodes_mutex_);
-  const auto id = static_cast<std::uint32_t>(nodes_.size());
-  const auto s = static_cast<std::uint32_t>(shard_index_of(id, shards_.size()));
-  Shard& shard = *shards_[s];
-  const std::uint32_t local = shard.fleet->add_node(config, std::move(codebook));
-  {
-    std::lock_guard<std::mutex> map_lock(shard.map_mutex);
-    shard.global_ids.push_back(id);
-#if CSECG_OBS_ENABLED
-    shard.stamps.push_back(std::make_unique<detail::FrameStampTable>());
-    stamp_refs_.push_back(shard.stamps.back().get());
-#endif
-  }
-  nodes_.push_back(NodeRef{s, local});
-  return id;
-}
-
 std::size_t GatewayService::node_count() const {
   std::lock_guard<std::mutex> lock(nodes_mutex_);
   return nodes_.size();

@@ -184,8 +184,6 @@ class GatewayService {
   /// returned id keys offer(). Shard assignment is a stable hash of the
   /// id.
   std::uint32_t register_node(const core::StreamProfile& profile);
-  std::uint32_t register_node(const core::DecoderConfig& config,
-                              coding::HuffmanCodebook codebook);
 
   std::size_t node_count() const;
   std::size_t shard_count() const { return shards_.size(); }
