@@ -250,38 +250,6 @@ void Encoder::write_differential(std::span<const std::int32_t> previous,
                     codebook_, writer);
 }
 
-Packet Encoder::encode_window(std::span<const std::int16_t> x) {
-  CSECG_CHECK(config_.leads == 1,
-              "encode_window is single-lead; group streams use encode_group");
-  project_window(x, sequence_);
-
-  const bool keyframe =
-      !have_previous_ || force_keyframe_ ||
-      (config_.keyframe_interval > 0 &&
-       packets_since_keyframe_ >= config_.keyframe_interval);
-
-  Packet packet;
-  packet.sequence = sequence_++;
-  coding::BitWriter writer;
-
-  if (keyframe) {
-    packet.kind = PacketKind::kAbsolute;
-    write_absolute(writer, packet.sequence);
-    packets_since_keyframe_ = 0;
-    force_keyframe_ = false;
-  } else {
-    packet.kind = PacketKind::kDifferential;
-    write_differential(std::span<const std::int32_t>(previous_y_), writer,
-                       packet.sequence);
-    ++packets_since_keyframe_;
-  }
-
-  packet.payload = writer.finish();
-  previous_y_.swap(current_y_);
-  have_previous_ = true;
-  return packet;
-}
-
 std::vector<Packet> Encoder::encode_group(
     std::span<const std::int16_t> xs_flat) {
   const std::size_t leads = config_.leads;
@@ -289,12 +257,6 @@ std::vector<Packet> Encoder::encode_group(
   const std::size_t m = config_.measurements;
   CSECG_CHECK(xs_flat.size() == leads * n,
               "group window length does not match encoder configuration");
-  if (leads == 1) {
-    // The degenerate group is the classic stream, byte for byte.
-    std::vector<Packet> packets;
-    packets.push_back(encode_window(xs_flat));
-    return packets;
-  }
 
   // One keyframe decision for the whole group: every lead's difference
   // chain re-syncs at the same window, so a receiver never has to track
@@ -339,6 +301,12 @@ std::vector<Packet> Encoder::encode_group(
   }
   have_previous_ = true;
   return packets;
+}
+
+Packet Encoder::encode_window(std::span<const std::int16_t> x) {
+  CSECG_CHECK(config_.leads == 1,
+              "encode_window is single-lead; group streams use encode_group");
+  return std::move(encode_group(x).front());
 }
 
 std::size_t Encoder::ram_bytes() const {

@@ -94,21 +94,20 @@ class Encoder {
   const SensingMatrix& sensing() const { return sensing_; }
   const coding::HuffmanCodebook& codebook() const { return codebook_; }
 
-  /// Encodes one window of config().window ADC samples into a packet.
-  /// Single-lead entry point: CHECK-fails on a group-configured encoder
-  /// (config().leads > 1), whose windows must go through encode_group.
-  Packet encode_window(std::span<const std::int16_t> x);
-
-  /// Encodes one lead-group window: \p xs_flat packs config().leads
-  /// windows back to back (leads * window samples, lead-major). The
-  /// returned packets share one sequence number and one kind — the
-  /// keyframe decision is group-wide, so every lead's difference chain
-  /// re-syncs together — and carry lead tags 0..leads-1. Every lead is
-  /// projected through the same Phi (the on-the-fly PRNG restarts from
-  /// the shared seed per lead), so the group costs one seed on the wire.
-  /// With leads == 1 the single packet is byte-identical to
-  /// encode_window's.
+  /// Encodes one window, the one encode body for every lead count:
+  /// \p xs_flat packs config().leads windows back to back (leads * window
+  /// samples, lead-major). The returned packets share one sequence number
+  /// and one kind — the keyframe decision is group-wide, so every lead's
+  /// difference chain re-syncs together — and carry lead tags
+  /// 0..leads-1. Every lead is projected through the same Phi (the
+  /// on-the-fly PRNG restarts from the shared seed per lead), so the
+  /// group costs one seed on the wire. A single-lead window is the group
+  /// of one: one packet with lead tag 0, the classic stream.
   std::vector<Packet> encode_group(std::span<const std::int16_t> xs_flat);
+
+  /// encode_group for a single-lead encoder, returning its one packet.
+  /// CHECK-fails on a group-configured encoder (config().leads > 1).
+  Packet encode_window(std::span<const std::int16_t> x);
 
   /// Forces the next packet to be absolute (e.g. after a reported loss).
   void request_keyframe() { force_keyframe_ = true; }

@@ -43,7 +43,7 @@ class SensorNode {
              const ArqConfig& arq = {});
 
   /// Profile-driven construction (v1): geometry and codebook come from
-  /// \p profile and the first take_profile_frame() yields the in-band
+  /// \p profile and the first process_window() opens with the in-band
   /// session announcement.
   explicit SensorNode(const core::StreamProfile& profile,
                       platform::Msp430Model model = {},
@@ -56,32 +56,25 @@ class SensorNode {
   const platform::Msp430Model& model() const { return model_; }
 
   /// Switches the stream to \p profile at the next window (which becomes
-  /// a keyframe); the announcement frame is queued for the next
-  /// take_profile_frame().
+  /// a keyframe, announced ahead of it).
   void set_profile(const core::StreamProfile& profile) {
     encoder_.set_profile(profile);
   }
 
-  /// The pending kProfile announcement, already framed and registered
-  /// with the ARQ retransmission buffer — transmit it ahead of the next
-  /// window frame. nullopt when nothing is pending (v0 mode, or already
-  /// taken).
-  std::optional<std::vector<std::uint8_t>> take_profile_frame();
-
-  /// Encodes one ADC window and returns the serialised frame to hand to
-  /// the link. MSP430 cycle cost is accumulated into stats(); the frame
-  /// is registered with the ARQ retransmission buffer, and any pending
-  /// ARQ give-up forces this window to be an absolute keyframe.
-  std::vector<std::uint8_t> process_window(
-      std::span<const std::int16_t> samples);
-
-  /// Lead-group variant: encodes one group window (leads * window samples
-  /// back to back, lead-major) into one frame per lead. All frames share
-  /// one sequence number, so the ARQ tracks — and retransmits — the group
-  /// as one unit; stats count the group as one window (one schedulable
-  /// unit). With a single-lead encoder this is process_window in a
-  /// one-element vector.
-  std::vector<std::vector<std::uint8_t>> process_group(
+  /// Encodes one window and returns its frames in wire order, each
+  /// already registered with the ARQ retransmission buffer: hand them to
+  /// the link as they come. \p samples_flat packs the encoder's leads
+  /// ADC windows back to back (lead-major); a single-lead window is the
+  /// group of one. A pending kProfile announcement goes first, then one
+  /// frame per lead under the window's shared sequence, so the ARQ
+  /// tracks — and retransmits — a group as one unit. A pending ARQ
+  /// give-up forces this window to be a keyframe and (v1/v2) re-announces
+  /// the profile ahead of it: the announcement takes wire sequence k and
+  /// the keyframe k + 1, so the receiver applies the profile before the
+  /// keyframe restarts its difference chain. MSP430 cycle cost is
+  /// accumulated into stats(), which count a group as one window (one
+  /// schedulable unit).
+  std::vector<std::vector<std::uint8_t>> process_window(
       std::span<const std::int16_t> samples_flat);
 
   /// Feeds coordinator feedback to the ARQ and returns the frames that
@@ -94,7 +87,6 @@ class SensorNode {
   double cpu_usage(double window_period_s = 2.0) const;
 
   const NodeStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = NodeStats{}; }
 
  private:
   double now() const { return static_cast<double>(stats_.windows_encoded); }

@@ -82,18 +82,22 @@ class StreamSession {
   /// processed (the tail-drain loops key quietness off this).
   bool service_feedback(const FrameSink& sink);
 
-  /// One stream step: service feedback, emit any pending kProfile
-  /// announcement, encode + transmit the window, then let the adaptive
-  /// policy evaluate (a decided switch re-profiles the encoder; the
-  /// announcement and keyframe go out with the next window). Returns the
-  /// number of frames the link delivered to \p sink.
-  std::size_t send_window(std::span<const std::int16_t> samples,
+  /// One stream step: service feedback, transmit the window's frames in
+  /// the node's wire order (any pending kProfile announcement, then one
+  /// frame per lead under the window's shared sequence; see
+  /// SensorNode::process_window), then let the adaptive policy evaluate
+  /// (a decided switch re-profiles the encoder; the announcement and
+  /// keyframe go out with the next window). \p samples_flat packs the
+  /// encoder's leads windows back to back (lead-major), so a lead group
+  /// transmits back to back and the receiver schedules, conceals or sheds
+  /// it as one unit. Returns the number of frames the link delivered to
+  /// \p sink.
+  std::size_t send_window(std::span<const std::int16_t> samples_flat,
                           const FrameSink& sink);
 
-  /// Lead-group variant of send_window: \p samples_flat packs the
-  /// encoder's leads windows back to back (lead-major). The group's
-  /// frames share one sequence and transmit back to back, so the
-  /// receiver schedules, conceals or sheds the group as one unit.
+  /// Forwards to send_window. Kept only because the benchmark's input
+  /// encoder (perfbench/src/inputs.cpp) still calls it; delete it when
+  /// that caller moves to send_window.
   std::size_t send_group_window(std::span<const std::int16_t> samples_flat,
                                 const FrameSink& sink);
 

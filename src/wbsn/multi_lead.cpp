@@ -129,11 +129,7 @@ MultiLeadReport run_multi_lead(const std::vector<const ecg::Record*>& leads,
         receiver.receive(std::move(frame), workspace,
                          /*conceal_only=*/false);
       };
-      if (joint) {
-        sessions[s]->send_group_window(flat, sink);
-      } else {
-        sessions[s]->send_window(flat, sink);
-      }
+      sessions[s]->send_window(flat, sink);
     }
   }
   sending = windows;

@@ -15,21 +15,8 @@ SensorNode::SensorNode(const core::StreamProfile& profile,
                        platform::Msp430Model model, const ArqConfig& arq)
     : encoder_(profile), model_(model), arq_(arq) {}
 
-std::optional<std::vector<std::uint8_t>> SensorNode::take_profile_frame() {
-  auto packet = encoder_.take_profile_packet();
-  if (!packet) {
-    return std::nullopt;
-  }
-  auto frame = packet->serialize();
-  // Announcements ride the same ARQ window as data: a NACKed profile
-  // frame is retransmitted, and losing one permanently would strand the
-  // receiver on stale geometry.
-  arq_.frame_sent(packet->sequence, frame, now());
-  return frame;
-}
-
-std::vector<std::uint8_t> SensorNode::process_window(
-    std::span<const std::int16_t> samples) {
+std::vector<std::vector<std::uint8_t>> SensorNode::process_window(
+    std::span<const std::int16_t> samples_flat) {
   if (arq_.consume_keyframe_request()) {
     encoder_.request_keyframe();
     // v1 streams also re-announce the profile: an ARQ give-up may have
@@ -39,37 +26,21 @@ std::vector<std::uint8_t> SensorNode::process_window(
     ++stats_.keyframes_forced;
   }
 
-  // The encoder numbers windows consecutively from 0, so the count of
-  // windows encoded so far is exactly the sequence this window will get.
-  obs::SpanScope span("window.encode", stats_.windows_encoded);
-  fixedpoint::Msp430CounterScope scope;
-  const core::Packet packet = encoder_.encode_window(samples);
-  const auto& ops = scope.counts();
-
-  stats_.ops_total += ops;
-  stats_.encode_seconds_total += model_.seconds(ops);
-  ++stats_.windows_encoded;
-  stats_.payload_bits += packet.wire_bits();
-  span.attribute("keyframe",
-                 packet.kind == core::PacketKind::kAbsolute ? 1.0 : 0.0);
-  span.attribute("payload_bits", static_cast<double>(packet.wire_bits()));
-  span.attribute("mote_seconds", model_.seconds(ops));
-  obs::observe("node.encode.mote_seconds", model_.seconds(ops));
-
-  auto frame = packet.serialize();
-  arq_.frame_sent(packet.sequence, frame, now());
-  return frame;
-}
-
-std::vector<std::vector<std::uint8_t>> SensorNode::process_group(
-    std::span<const std::int16_t> samples_flat) {
-  if (arq_.consume_keyframe_request()) {
-    encoder_.request_keyframe();
-    encoder_.announce_profile();
-    ++stats_.keyframes_forced;
+  std::vector<std::vector<std::uint8_t>> frames;
+  // The announcement precedes the window it governs, in sequence order.
+  // It rides the same ARQ window as data: a NACKed profile frame is
+  // retransmitted, and losing one permanently would strand the receiver
+  // on stale geometry.
+  if (const auto announcement = encoder_.take_profile_packet()) {
+    frames.push_back(announcement->serialize());
+    arq_.frame_sent(announcement->sequence, frames.back(), now());
   }
 
-  obs::SpanScope span("window.encode.group", stats_.windows_encoded);
+  const bool group = encoder_.config().leads > 1;
+  // The encoder numbers windows consecutively from 0, so the count of
+  // windows encoded so far is exactly the sequence this window will get.
+  obs::SpanScope span(group ? "window.encode.group" : "window.encode",
+                      stats_.windows_encoded);
   fixedpoint::Msp430CounterScope scope;
   const auto packets = encoder_.encode_group(samples_flat);
   const auto& ops = scope.counts();
@@ -79,27 +50,26 @@ std::vector<std::vector<std::uint8_t>> SensorNode::process_group(
   // One group = one window of wall time = one ARQ clock tick, however
   // many leads ride it.
   ++stats_.windows_encoded;
-  std::size_t group_bits = 0;
+  std::size_t window_bits = 0;
   for (const auto& packet : packets) {
-    group_bits += packet.wire_bits();
+    window_bits += packet.wire_bits();
   }
-  stats_.payload_bits += group_bits;
-  span.attribute("leads", static_cast<double>(packets.size()));
+  stats_.payload_bits += window_bits;
+  if (group) {
+    span.attribute("leads", static_cast<double>(packets.size()));
+  }
   span.attribute("keyframe",
                  packets.front().kind == core::PacketKind::kAbsolute ? 1.0
                                                                      : 0.0);
-  span.attribute("payload_bits", static_cast<double>(group_bits));
+  span.attribute("payload_bits", static_cast<double>(window_bits));
   span.attribute("mote_seconds", model_.seconds(ops));
   obs::observe("node.encode.mote_seconds", model_.seconds(ops));
 
-  std::vector<std::vector<std::uint8_t>> frames;
-  frames.reserve(packets.size());
   for (const auto& packet : packets) {
-    auto frame = packet.serialize();
+    frames.push_back(packet.serialize());
     // Every lead's frame registers under the shared sequence: a NACK for
     // it marks them all, so the group retransmits together.
-    arq_.frame_sent(packet.sequence, frame, now());
-    frames.push_back(std::move(frame));
+    arq_.frame_sent(packet.sequence, frames.back(), now());
   }
   return frames;
 }

@@ -55,16 +55,13 @@ bool StreamSession::service_feedback(const FrameSink& sink) {
   return had_feedback;
 }
 
-std::size_t StreamSession::send_window(std::span<const std::int16_t> samples,
-                                       const FrameSink& sink) {
+std::size_t StreamSession::send_window(
+    std::span<const std::int16_t> samples_flat, const FrameSink& sink) {
   std::size_t delivered = 0;
   service_feedback(sink);
-  // The announcement precedes the window it governs, in sequence order
-  // (it was numbered before this window is encoded).
-  if (const auto announcement = node_.take_profile_frame()) {
-    delivered += transmit(*announcement, sink);
+  for (const auto& frame : node_.process_window(samples_flat)) {
+    delivered += transmit(frame, sink);
   }
-  delivered += transmit(node_.process_window(samples), sink);
   if (const auto cr = adaptive_.on_window_sent()) {
     // The policy decided a switch. Re-profiling forces the next window to
     // be a keyframe and queues the announcement that precedes it, so the
@@ -80,22 +77,7 @@ std::size_t StreamSession::send_window(std::span<const std::int16_t> samples,
 
 std::size_t StreamSession::send_group_window(
     std::span<const std::int16_t> samples_flat, const FrameSink& sink) {
-  std::size_t delivered = 0;
-  service_feedback(sink);
-  if (const auto announcement = node_.take_profile_frame()) {
-    delivered += transmit(*announcement, sink);
-  }
-  for (const auto& frame : node_.process_group(samples_flat)) {
-    delivered += transmit(frame, sink);
-  }
-  if (const auto cr = adaptive_.on_window_sent()) {
-    auto profile = node_.encoder().profile();
-    CSECG_CHECK(profile.has_value(), "adaptive CR without a profile");
-    core::StreamProfile next = *profile;
-    next.measurements = core::measurements_for_cr(next.window, *cr);
-    node_.set_profile(next);
-  }
-  return delivered;
+  return send_window(samples_flat, sink);
 }
 
 void StreamSession::set_profile(const core::StreamProfile& profile) {

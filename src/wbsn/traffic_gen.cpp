@@ -66,33 +66,24 @@ TrafficModel::TrafficModel(const TrafficConfig& config) : config_(config) {
   streams_.reserve(config_.streams);
   for (std::size_t s = 0; s < config_.streams; ++s) {
     EncodedStream stream;
-    stream.profile = core::profile_for_cr(config_.crs[s % config_.crs.size()]);
-    if (leads > 1) {
-      stream.profile = stream.profile.with_leads(leads);
-    }
+    stream.profile = core::profile_for_cr(config_.crs[s % config_.crs.size()])
+                         .with_leads(leads);
     stream.profile.keyframe_interval = config_.keyframe_interval;
     CSECG_CHECK(stream.profile.valid(), "soak stream profile unrealisable");
 
-    const ecg::Record& record = db.mote(s % config_.records);
-    const std::size_t window = stream.profile.window;
-    record_windows_ = record.samples.size() / window;
-    CSECG_CHECK(record_windows_ > 0, "record shorter than one window");
-
-    // All leads of the record share one beat schedule; the flat buffer
-    // is lead-major, the group wire layout encode_group expects.
+    // All leads of the record share one beat schedule, and lead 0 is the
+    // classic mote record; the flat buffer is lead-major, the layout
+    // encode_group expects.
     const auto group = db.mote_lead_group(s % config_.records);
+    const std::size_t window = stream.profile.window;
+    record_windows_ = group.front()->samples.size() / window;
+    CSECG_CHECK(record_windows_ > 0, "record shorter than one window");
     std::vector<std::int16_t> flat(leads * window);
 
     core::Encoder encoder(stream.profile);
     stream.frames.reserve(config_.windows_per_stream * leads);
     for (std::size_t w = 0; w < config_.windows_per_stream; ++w) {
       const std::size_t r = w % record_windows_;
-      if (leads == 1) {
-        const std::span<const std::int16_t> x(
-            record.samples.data() + r * window, window);
-        stream.frames.push_back(encoder.encode_window(x).serialize());
-        continue;
-      }
       for (std::size_t l = 0; l < leads; ++l) {
         std::copy(group[l]->samples.begin() +
                       static_cast<std::ptrdiff_t>(r * window),

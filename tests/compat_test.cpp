@@ -202,10 +202,7 @@ TEST(WireCompatTest, SessionFramesGolden) {
     std::uint64_t hash = 0xcbf29ce484222325ull;
   };
   const auto session_digest = [&](std::size_t leads) {
-    core::StreamProfile profile = core::profile_for_cr(50.0);
-    if (leads > 1) {
-      profile = profile.with_leads(leads);
-    }
+    core::StreamProfile profile = core::profile_for_cr(50.0).with_leads(leads);
     profile.keyframe_interval = 4;
     wbsn::StreamSessionConfig config;
     config.arq.enabled = false;
@@ -230,11 +227,7 @@ TEST(WireCompatTest, SessionFramesGolden) {
         std::copy_n(samples.begin() + static_cast<std::ptrdiff_t>(w * n), n,
                     flat.begin() + static_cast<std::ptrdiff_t>(l * n));
       }
-      if (leads > 1) {
-        session.send_group_window(flat, sink);
-      } else {
-        session.send_window(flat, sink);
-      }
+      session.send_window(flat, sink);
     }
     return digest;
   };

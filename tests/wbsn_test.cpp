@@ -210,7 +210,9 @@ TEST(NodeCoordinatorTest, RoundTripOverFrames) {
   for (std::size_t off = 0; off + 512 <= record.samples.size(); off += 512) {
     coordinator.receive(
         node.process_window(
-            std::span<const std::int16_t>(record.samples.data() + off, 512)),
+                std::span<const std::int16_t>(record.samples.data() + off,
+                                              512))
+            .front(),
         workspace, /*conceal_only=*/false);
     ++windows;
     ASSERT_EQ(delivered, windows);  // an in-order frame decodes at once
@@ -266,8 +268,10 @@ TEST(NodeCoordinatorTest, ConcealmentDropsWarmPrior) {
   solvers::SolverWorkspace workspace;
   const auto& record = db.mote(0);
   const auto frame = [&](std::size_t w) {
-    return node.process_window(
-        std::span<const std::int16_t>(record.samples.data() + w * 512, 512));
+    return node
+        .process_window(std::span<const std::int16_t>(
+            record.samples.data() + w * 512, 512))
+        .front();
   };
   coordinator.receive(frame(0), workspace, /*conceal_only=*/false);
   ASSERT_TRUE(coordinator.decoder().has_warm_prior<float>());
@@ -687,6 +691,77 @@ TEST(StreamSessionTest, AbandonedAnnouncementShiftsNoWindow) {
   EXPECT_EQ(dropped.concealed, 0u);
   EXPECT_EQ(dropped.sequences, clean.sequences);
   EXPECT_TRUE(dropped.samples == clean.samples);
+}
+
+TEST(StreamSessionTest, ForcedResyncAnnouncesAheadOfItsKeyframe) {
+  // The link drops the opening announcement; the receiver NACKs it, and
+  // with no retries to spend the sender gives it up and forces a re-sync:
+  // a re-announcement and a keyframe. The announcement resets the
+  // receiver's difference chain, so it must go out first — after the
+  // keyframe it would strand every later differential on a start-only
+  // keyframe schedule.
+  ecg::DatabaseConfig db_config;
+  db_config.record_count = 1;
+  db_config.duration_s = 16.0;
+  db_config.leads = 3;
+  const ecg::SyntheticDatabase db(db_config);
+  for (const std::size_t leads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(leads);
+    core::StreamProfile profile = core::profile_for_cr(50.0).with_leads(leads);
+    profile.keyframe_interval = 0;  // keyframes at the start only
+    StreamSessionConfig session_config;
+    session_config.arq.max_retries = 0;
+    session_config.link.drop_schedule = {0};
+    StreamSession session(profile, session_config);
+    Coordinator coordinator(profile, session_config.arq);
+    std::size_t reconstructed = 0;
+    std::size_t concealed = 0;
+    Coordinator::Wiring wiring;
+    wiring.announced = true;
+    wiring.deliver = [&](const FleetWindow& window) {
+      if (window.lead == 0) {
+        (window.concealed ? concealed : reconstructed) += 1;
+      }
+    };
+    wiring.feedback = [&](std::span<const FeedbackMessage> messages) {
+      session.on_feedback(messages);
+    };
+    coordinator.wire(std::move(wiring));
+    solvers::SolverWorkspace workspace;
+    std::vector<core::Packet> wire;
+    const auto sink = [&](std::vector<std::uint8_t> frame) {
+      const auto packet = core::Packet::parse(frame);
+      ASSERT_TRUE(packet.has_value());
+      wire.push_back(*packet);
+      coordinator.receive(std::move(frame), workspace,
+                          /*conceal_only=*/false);
+    };
+    constexpr std::size_t kWindows = 8;
+    std::vector<std::int16_t> flat(leads * 512);
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      for (std::size_t l = 0; l < leads; ++l) {
+        const auto& samples = db.mote_lead(0, l).samples;
+        std::copy_n(samples.begin() + static_cast<std::ptrdiff_t>(w * 512),
+                    512, flat.begin() + static_cast<std::ptrdiff_t>(l * 512));
+      }
+      session.send_window(flat, sink);
+    }
+    coordinator.finish(workspace, /*conceal_only=*/false);
+
+    EXPECT_EQ(session.node().stats().keyframes_forced, 1u);
+    // The re-announcement is the one kProfile frame delivered; the forced
+    // keyframe takes the next sequence and follows it directly.
+    const auto announcement =
+        std::find_if(wire.begin(), wire.end(), [](const core::Packet& p) {
+          return p.kind == core::PacketKind::kProfile;
+        });
+    ASSERT_NE(announcement, wire.end());
+    ASSERT_NE(announcement + 1, wire.end());
+    EXPECT_EQ((announcement + 1)->kind, core::PacketKind::kAbsolute);
+    EXPECT_EQ((announcement + 1)->sequence, announcement->sequence + 1);
+    EXPECT_EQ(reconstructed, kWindows);
+    EXPECT_EQ(concealed, 0u);
+  }
 }
 
 TEST(StreamSessionTest, MidStreamReProfileLandsAtKeyframe) {

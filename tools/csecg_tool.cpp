@@ -699,13 +699,6 @@ int cmd_fleet(const Args& args) {
   std::vector<std::int16_t> flat(leads * n);
   for (std::size_t w = 0; w < windows_per_node; ++w) {
     for (std::size_t node = 0; node < node_count; ++node) {
-      if (leads == 1) {
-        sessions[node]->send_window(
-            std::span<const std::int16_t>(originals[node][0].data() + w * n,
-                                          n),
-            sink_for(node));
-        continue;
-      }
       for (std::size_t l = 0; l < leads; ++l) {
         std::copy(originals[node][l].begin() +
                       static_cast<std::ptrdiff_t>(w * n),
@@ -713,7 +706,7 @@ int cmd_fleet(const Args& args) {
                       static_cast<std::ptrdiff_t>((w + 1) * n),
                   flat.begin() + static_cast<std::ptrdiff_t>(l * n));
       }
-      sessions[node]->send_group_window(flat, sink_for(node));
+      sessions[node]->send_window(flat, sink_for(node));
     }
   }
   // Bounded ARQ drain: answer NACKs until every transmitter goes idle or
