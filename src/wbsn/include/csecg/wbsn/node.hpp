@@ -62,18 +62,16 @@ class SensorNode {
   }
 
   /// Encodes one window and returns its frames in wire order, each
-  /// already registered with the ARQ retransmission buffer: hand them to
-  /// the link as they come. \p samples_flat packs the encoder's leads
-  /// ADC windows back to back (lead-major); a single-lead window is the
-  /// group of one. A pending kProfile announcement goes first, then one
-  /// frame per lead under the window's shared sequence, so the ARQ
-  /// tracks — and retransmits — a group as one unit. A pending ARQ
-  /// give-up forces this window to be a keyframe and (v1/v2) re-announces
-  /// the profile ahead of it: the announcement takes wire sequence k and
-  /// the keyframe k + 1, so the receiver applies the profile before the
-  /// keyframe restarts its difference chain. MSP430 cycle cost is
-  /// accumulated into stats(), which count a group as one window (one
-  /// schedulable unit).
+  /// registered with the ARQ retransmission buffer. \p samples_flat packs
+  /// the encoder's leads ADC windows back to back (lead-major); a
+  /// single-lead window is the group of one. Any pending kProfile
+  /// announcement goes first, then one frame per lead under the window's
+  /// shared sequence, which the ARQ retransmits as one unit. A pending
+  /// ARQ give-up forces a keyframe and (v1/v2) re-announces the profile
+  /// ahead of it: the announcement takes wire sequence k and the keyframe
+  /// k + 1, so the receiver applies the profile before the keyframe
+  /// restarts its difference chain. MSP430 cycle cost is accumulated into
+  /// stats(), which count a group as one window.
   std::vector<std::vector<std::uint8_t>> process_window(
       std::span<const std::int16_t> samples_flat);
 

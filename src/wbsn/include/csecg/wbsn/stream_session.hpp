@@ -83,14 +83,11 @@ class StreamSession {
   bool service_feedback(const FrameSink& sink);
 
   /// One stream step: service feedback, transmit the window's frames in
-  /// the node's wire order (any pending kProfile announcement, then one
-  /// frame per lead under the window's shared sequence; see
-  /// SensorNode::process_window), then let the adaptive policy evaluate
-  /// (a decided switch re-profiles the encoder; the announcement and
-  /// keyframe go out with the next window). \p samples_flat packs the
-  /// encoder's leads windows back to back (lead-major), so a lead group
-  /// transmits back to back and the receiver schedules, conceals or sheds
-  /// it as one unit. Returns the number of frames the link delivered to
+  /// SensorNode::process_window's wire order, then let the adaptive
+  /// policy evaluate (a decided switch re-profiles the encoder; the
+  /// announcement and keyframe go out with the next window).
+  /// \p samples_flat packs the encoder's leads windows back to back
+  /// (lead-major). Returns the number of frames the link delivered to
   /// \p sink.
   std::size_t send_window(std::span<const std::int16_t> samples_flat,
                           const FrameSink& sink);

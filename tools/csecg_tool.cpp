@@ -671,10 +671,7 @@ int cmd_fleet(const Args& args) {
               .samples_mv));
     }
     core::StreamProfile profile =
-        core::profile_for_cr(crs[node % crs.size()]);
-    if (leads > 1) {
-      profile = profile.with_leads(leads);
-    }
+        core::profile_for_cr(crs[node % crs.size()]).with_leads(leads);
     profile.keyframe_interval = keyframe_interval;
     session_config.link.seed = 100 + static_cast<std::uint64_t>(node);
     sessions.push_back(
